@@ -17,7 +17,7 @@ import numpy as np
 from .audio import AudioBuffer
 from .dbas import SPEECH_GENDER
 from .errors import NoSpeechError, NoWindowsError
-from .features import log_mel_spectrogram
+from .features import HOP, log_mel_spectrogram
 from .model import CrnnModel, label_names
 
 
@@ -164,7 +164,7 @@ def analyze_call(
     """
     streams = build_speaker_streams(audio, segments)
     frames = model.config.input_shape[1]
-    window = frames * 80  # one frame per 80-sample hop
+    window = frames * HOP  # one frame per hop
     shift = int(round(shift_seconds * audio.sample_rate))
 
     reports = []

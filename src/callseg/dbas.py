@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -92,16 +93,45 @@ class CallMetadata:
             self.customer_id = f"{self.call_id}.customer"
 
 
+def _read_csv(path: str, header: list[str]) -> list[tuple[int, dict]]:
+    """(line number, row) pairs of a CSV file whose header must be ``header``.
+
+    A short row reads its missing fields as empty strings.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh, restval="")
+            if reader.fieldnames != header:
+                raise FormatError(
+                    f"{path}: expected header {','.join(header)}, got {reader.fieldnames}"
+                )
+            return [(reader.line_num, row) for row in reader]
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: not a readable CSV file: {exc}") from exc
+
+
+def _number(path: str, line: int, row: dict, key: str) -> float:
+    """Field ``key`` of a CSV row as a finite float."""
+    text = row[key]
+    try:
+        value = float(text)
+    except ValueError:
+        raise FormatError(f"{path}:{line}: {key} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise FormatError(f"{path}:{line}: {key} {text!r} is not finite")
+    return value
+
+
 def read_segments_csv(path: str) -> list[SegmentAnnotation]:
     """Load one call's segment annotations; `start,end,label` header required."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["start", "end", "label"]:
-            raise FormatError(f"{path}: expected header start,end,label, got {reader.fieldnames}")
-        segments = [
-            SegmentAnnotation(float(row["start"]), float(row["end"]), row["label"].strip())
-            for row in reader
-        ]
+    segments = [
+        SegmentAnnotation(
+            _number(path, line, row, "start"), _number(path, line, row, "end"), row["label"].strip()
+        )
+        for line, row in _read_csv(path, ["start", "end", "label"])
+    ]
     for prev, cur in zip(segments, segments[1:]):
         if cur.start < prev.end:
             raise InputError(f"{path}: segments overlap or are unsorted at t={cur.start}")
@@ -110,20 +140,16 @@ def read_segments_csv(path: str) -> list[SegmentAnnotation]:
 
 def read_calls_csv(path: str) -> list[CallMetadata]:
     expected = ["call_id", "agent_id", "agent_gender", "duration", "audio_path"]
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != expected:
-            raise FormatError(f"{path}: expected header {','.join(expected)}")
-        return [
-            CallMetadata(
-                call_id=row["call_id"].strip(),
-                agent_id=row["agent_id"].strip(),
-                agent_gender=row["agent_gender"].strip(),
-                duration=float(row["duration"]),
-                audio_path=row["audio_path"].strip(),
-            )
-            for row in reader
-        ]
+    return [
+        CallMetadata(
+            call_id=row["call_id"].strip(),
+            agent_id=row["agent_id"].strip(),
+            agent_gender=row["agent_gender"].strip(),
+            duration=_number(path, line, row, "duration"),
+            audio_path=row["audio_path"].strip(),
+        )
+        for line, row in _read_csv(path, expected)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ original signal, so an 80000-sample buffer yields exactly 1000 frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +34,7 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MelFilterbank:
     """Triangular mel filters sampled at FFT bin frequencies.
 
@@ -41,7 +42,8 @@ class MelFilterbank:
     triangles, equally spaced on the mel scale between fmin and fmax. A
     triangle too narrow to touch any bin (possible at the low end for large
     n_mels) contributes weight 1.0 at the bin nearest its center, so every
-    row stays non-empty.
+    row stays non-empty. Filterbanks are shared between callers, so weights
+    is read-only.
     """
 
     weights: np.ndarray
@@ -53,10 +55,14 @@ class MelFilterbank:
         return self.weights.shape[0]
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(
     n_mels: int = N_MELS, sample_rate: int = 8000, n_fft: int = 256
 ) -> MelFilterbank:
-    """Build the (n_mels x n_fft//2+1) triangular filterbank, fmin=0, fmax=Nyquist."""
+    """Build the (n_mels x n_fft//2+1) triangular filterbank, fmin=0, fmax=Nyquist.
+
+    Memoized on the arguments; ``mel_filterbank.__wrapped__`` builds afresh.
+    """
     if n_mels < 1:
         raise ConfigError(f"n_mels must be >= 1, got {n_mels}")
     if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
@@ -79,6 +85,7 @@ def mel_filterbank(
             row[int(np.argmin(np.abs(bin_freqs - center)))] = 1.0
         weights[m] = row
 
+    weights.flags.writeable = False
     return MelFilterbank(weights=weights, fmin=fmin, fmax=fmax)
 
 

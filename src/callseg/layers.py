@@ -37,16 +37,23 @@ def orthogonal(n, rng, dtype):
 # ---------------------------------------------------------------------------
 # functional ops
 
-def _im2col3(x: np.ndarray) -> np.ndarray:
-    """Unfold (C, H, W) into (C*9, H*W) columns for 3x3 same convolution."""
+def _im2col3(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unfold (C, H, W) into (C*9, H*W) columns for 3x3 same convolution.
+
+    The columns are written into ``out`` when its shape and dtype fit, else
+    into a new array.
+    """
     c, h, w = x.shape
+    if out is None or out.shape != (c * 9, h * w) or out.dtype != x.dtype:
+        out = np.empty((c * 9, h * w), dtype=x.dtype)
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     view = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    return view.transpose(0, 3, 4, 1, 2).reshape(c * 9, h * w)
+    np.copyto(out.reshape(c, 3, 3, h, w), view.transpose(0, 3, 4, 1, 2))
+    return out
 
 
-def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-convolve (C_in, H, W) with (C_out, C_in, 3, 3) kernels, zero padding."""
+def _conv2d_cols(x, kernels, bias, cols=None):
+    """conv2d that also returns the im2col columns, built in ``cols`` if it fits."""
     if kernels.ndim != 4 or kernels.shape[2:] != (3, 3):
         raise ShapeError(f"kernels must be (C_out, C_in, 3, 3), got {kernels.shape}")
     if x.ndim != 3 or x.shape[0] != kernels.shape[1]:
@@ -55,9 +62,83 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if bias.shape != (c_out,):
         raise ShapeError(f"bias must be ({c_out},), got {bias.shape}")
     _, h, w = x.shape
-    cols = _im2col3(x)
-    out = kernels.reshape(c_out, -1) @ cols + bias[:, None]
-    return out.reshape(c_out, h, w)
+    cols = _im2col3(x, cols)
+    out = kernels.reshape(c_out, -1) @ cols
+    out += bias[:, None]
+    return out.reshape(c_out, h, w), cols
+
+
+def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Same-convolve (C_in, H, W) with (C_out, C_in, 3, 3) kernels, zero padding."""
+    return _conv2d_cols(x, kernels, bias)[0]
+
+
+def _window_slices(x, kernel):
+    """The kh*kw strided slices of (C, H, W) ``x``, one per window position.
+
+    Slice k = a*kw + b holds element (a, b) of every pooling window, so
+    ``slices[k][:, i, j]`` sits in output cell (i, j). In ceil mode a slice
+    whose position the partial edge windows lack is shorter than the output
+    by one row or column.
+    """
+    kh, kw = kernel
+    if kh < 1 or kw < 1:
+        raise ConfigError(f"pool kernel must be >= 1, got {kernel}")
+    return [x[:, a::kh, b::kw] for a in range(kh) for b in range(kw)]
+
+
+def _edge(arr, part):
+    """The leading block of ``arr`` that window slice ``part`` covers."""
+    return arr[:, : part.shape[1], : part.shape[2]]
+
+
+def _maxpool(x, kernel):
+    """Ceil-mode max pooling as a running np.maximum over the window slices.
+
+    Partial windows pool over their valid elements; no padding is built.
+    """
+    first, *rest = _window_slices(x, kernel)
+    out = first.copy()
+    for part in rest:
+        view = _edge(out, part)
+        # np.maximum returns its second operand on ties, so the earlier
+        # element wins and a tie of -0.0 and 0.0 keeps the first one's sign
+        np.maximum(part, view, out=view)
+    return out
+
+
+def _first_max_hits(x, out, kernel):
+    """Per window position k (row-major), the windows whose first max is at k.
+
+    ``out`` is ``_maxpool(x, kernel)``. Each mask has the shape of window
+    slice k, and every window is marked exactly once. A window whose max is
+    NaN is marked at its first NaN, as np.argmax does.
+    """
+    nan_windows = bool(np.isnan(out).any())
+    taken = np.zeros(out.shape, dtype=bool)
+    hits = []
+    for part in _window_slices(x, kernel):
+        hit = part == _edge(out, part)
+        if nan_windows:
+            hit |= np.isnan(part)
+        done = _edge(taken, part)
+        hit &= ~done
+        done |= hit
+        hits.append(hit)
+    return hits
+
+
+def _scatter(grad_out, hits, kernel, input_shape):
+    """Input gradient with each output gradient at the position ``hits`` marks.
+
+    ``hits[k]`` marks the windows routed to position k. The window slices
+    tile the input, so each is written once: grad where marked, else grad*0,
+    which is 0 for a finite gradient.
+    """
+    dx = np.empty(input_shape, dtype=grad_out.dtype)
+    for part, hit in zip(_window_slices(dx, kernel), hits):
+        np.multiply(_edge(grad_out, part), _edge(hit, part), out=part)
+    return dx
 
 
 def maxpool2d(x: np.ndarray, kernel: tuple[int, int]):
@@ -66,36 +147,20 @@ def maxpool2d(x: np.ndarray, kernel: tuple[int, int]):
     Partial windows at the right/bottom edge pool over their valid elements.
     argmax is the row-major first-occurrence index within each window.
     """
-    kh, kw = kernel
-    if kh < 1 or kw < 1:
-        raise ConfigError(f"pool kernel must be >= 1, got {kernel}")
-    c, h, w = x.shape
-    h_out, w_out = -(-h // kh), -(-w // kw)
-    padded = np.full((c, h_out * kh, w_out * kw), -np.inf, dtype=x.dtype)
-    padded[:, :h, :w] = x
-    windows = (
-        padded.reshape(c, h_out, kh, w_out, kw)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(c, h_out, w_out, kh * kw)
-    )
-    arg = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    out = _maxpool(x, kernel)
+    arg = np.zeros(out.shape, dtype=np.intp)
+    for k, hit in enumerate(_first_max_hits(x, out, kernel)):
+        _edge(arg, hit)[hit] = k
     return out, arg
 
 
 def maxpool2d_backward(grad_out, arg, kernel, input_shape):
-    """Route each output gradient to the recorded argmax position."""
-    kh, kw = kernel
-    c, h, w = input_shape
-    h_out, w_out = grad_out.shape[1], grad_out.shape[2]
-    scatter = np.zeros((c, h_out, w_out, kh * kw), dtype=grad_out.dtype)
-    np.put_along_axis(scatter, arg[..., None], grad_out[..., None], axis=-1)
-    padded = (
-        scatter.reshape(c, h_out, w_out, kh, kw)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(c, h_out * kh, w_out * kw)
-    )
-    return padded[:, :h, :w]
+    """Route each output gradient to the recorded argmax position.
+
+    The other positions get 0, or NaN in a window whose gradient is not finite.
+    """
+    hits = [arg == k for k in range(kernel[0] * kernel[1])]
+    return _scatter(grad_out, hits, kernel, input_shape)
 
 
 def dropout(x: np.ndarray, p: float, training: bool, rng: np.random.Generator | None):
@@ -114,8 +179,10 @@ def dropout(x: np.ndarray, p: float, training: bool, rng: np.random.Generator | 
 
 
 def elu(x: np.ndarray) -> np.ndarray:
-    # expm1 argument capped at 0 so the unused branch cannot overflow
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    # expm1(x) >= x for x <= 0 and expm1(0) == 0 < x for x > 0, so the max
+    # picks the right branch; with numpy 2.4 it matches the np.where form bit
+    # for bit on all 2**32 float32 inputs. Capping at 0 keeps expm1 finite.
+    return np.maximum(x, np.expm1(np.minimum(x, 0)))
 
 
 def elu_backward(grad_out, x, y):
@@ -151,20 +218,30 @@ def cross_entropy(probs: np.ndarray, label: int) -> float:
 # layer classes
 
 class Conv2d:
-    """3x3 same convolution, Glorot-uniform kernels, zero bias."""
+    """3x3 same convolution, Glorot-uniform kernels, zero bias.
+
+    With ``input_grad=False`` backward computes only the parameter gradients
+    and returns None; the model builds its first conv that way, because
+    nothing reads the gradient of the spectrogram.
+    """
 
     param_names = ("kernels", "bias")
 
-    def __init__(self, in_channels, out_channels, rng, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, rng, dtype=np.float32, input_grad=True):
         fan = 9 * in_channels, 9 * out_channels
         self.kernels = glorot_uniform((out_channels, in_channels, 3, 3), *fan, rng, dtype)
         self.bias = np.zeros(out_channels, dtype=dtype)
         self.grads = {n: np.zeros_like(getattr(self, n)) for n in self.param_names}
+        self.input_grad = input_grad
         self._cache = None
 
     def forward(self, x):
-        out = conv2d(x, self.kernels, self.bias)
-        self._cache = (x.shape, _im2col3(x))
+        # Backward reads the columns of the latest forward only, so the next
+        # forward rebuilds them in the same buffer: a fresh (C*9, H*W) array
+        # per call costs more in page faults than the copy into it.
+        previous = None if self._cache is None else self._cache[1]
+        out, cols = _conv2d_cols(x, self.kernels, self.bias, previous)
+        self._cache = (x.shape, cols)
         return out
 
     def backward(self, grad_out):
@@ -175,6 +252,8 @@ class Conv2d:
         g = grad_out.reshape(c_out, -1)
         self.grads["kernels"] += (g @ cols.T).reshape(self.kernels.shape)
         self.grads["bias"] += g.sum(axis=1)
+        if not self.input_grad:
+            return None
         # input gradient = same-conv of grad_out with channel-swapped, flipped kernels
         flipped = self.kernels.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
         dx = flipped.reshape(in_shape[0], -1) @ _im2col3(grad_out)
@@ -182,7 +261,13 @@ class Conv2d:
 
 
 class Activation:
-    """Pointwise nonlinearity after each convolution: elu, relu or linear."""
+    """Pointwise nonlinearity of each conv block: elu, relu or linear.
+
+    All three are monotone non-decreasing, so max-pooling commutes with them
+    and the model applies them after the pool, on fewer elements, with the
+    same forward values. Gradients then route by the pre-activation argmax;
+    the model docstring gives the one case where that differs.
+    """
 
     param_names = ()
 
@@ -215,6 +300,12 @@ class Activation:
 
 
 class MaxPool2d:
+    """Ceil-mode max pool; forward computes no argmax.
+
+    Forward keeps its input and output, and backward recovers the
+    row-major first-occurrence argmax from them.
+    """
+
     param_names = ()
 
     def __init__(self, kernel: tuple[int, int]):
@@ -223,15 +314,15 @@ class MaxPool2d:
         self._cache = None
 
     def forward(self, x):
-        out, arg = maxpool2d(x, self.kernel)
-        self._cache = (x.shape, arg)
+        out = _maxpool(x, self.kernel)
+        self._cache = (x, out)
         return out
 
     def backward(self, grad_out):
         if self._cache is None:
             raise StateError("pool backward called before forward")
-        in_shape, arg = self._cache
-        return maxpool2d_backward(grad_out, arg, self.kernel, in_shape)
+        x, out = self._cache
+        return _scatter(grad_out, _first_max_hits(x, out, self.kernel), self.kernel, x.shape)
 
 
 class Dropout:

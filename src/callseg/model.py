@@ -6,6 +6,15 @@ surviving (channels, time) map is read as a sequence, passed through two
 recurrent layers (full sequence, then final state only), and a dense
 softmax head produces class probabilities.
 
+Each block computes conv -> pool -> activation -> dropout. The activations
+(elu, relu, linear) are monotone non-decreasing, so pooling first gives the
+same forward values while the activation touches 1/(kh*kw) of the elements.
+Backward routes each pooled gradient by the pre-activation argmax. Where
+the activation maps different inputs of one window to the same float (ELU
+saturating at -1, ReLU at 0), that can be another position than the one
+activation-then-pool would pick; the gradient there is g*(y+1) with
+y close to -1 for ELU, or 0 for ReLU, so zero or nearly zero.
+
 With the default configuration a (96, 1000) input reaches the recurrent
 layers as 42 time steps of 32 features.
 """
@@ -120,8 +129,9 @@ class CrnnModel:
 
         channels_in = 1
         self.blocks = []
-        for filters, pool in zip(config.conv_filters, config.pool_kernels):
-            conv = Conv2d(channels_in, filters, rng, dtype=self.dtype)
+        for i, (filters, pool) in enumerate(zip(config.conv_filters, config.pool_kernels)):
+            # nothing reads the gradient with respect to the spectrogram
+            conv = Conv2d(channels_in, filters, rng, dtype=self.dtype, input_grad=i > 0)
             self.blocks.append(
                 (conv, Activation(config.conv_activation), MaxPool2d(pool), Dropout(config.dropout_p))
             )
@@ -199,7 +209,7 @@ class CrnnModel:
     def _conv_pass(self, x, training, rng):
         out = x[None, :, :]
         for conv, act, pool, drop in self.blocks:
-            out = drop.forward(pool.forward(act.forward(conv.forward(out))), training, rng)
+            out = drop.forward(act.forward(pool.forward(conv.forward(out))), training, rng)
         return out
 
     def forward(self, features, training: bool = False, rng: np.random.Generator | None = None):
@@ -236,7 +246,7 @@ class CrnnModel:
         grad_seq = self.rnn1.backward(grad_hs1)
         g = np.ascontiguousarray(grad_seq.T)[:, None, :]
         for conv, act, pool, drop in reversed(self.blocks):
-            g = conv.backward(act.backward(pool.backward(drop.backward(g))))
+            g = conv.backward(pool.backward(act.backward(drop.backward(g))))
         return self.grad_arrays()
 
     def loss(self, features, label: int, training: bool = False, rng=None) -> float:

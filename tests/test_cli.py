@@ -237,6 +237,25 @@ class TestAnalyzeCommand:
         male = [e for e in report["speakers"] if e["gender"] == "male"][0]
         assert male["no_windows"] is True
 
+    @pytest.mark.parametrize("row", ["0.0,two,speech_female", "zero,2.0,speech_female",
+                                     "0.0,inf,speech_female", "0.0"])
+    def test_unparsable_segment_time_exits_2(self, capsys, tmp_path, cli_corpus, row):
+        wav, _ = self.make_call_files(tmp_path)
+        seg_path = tmp_path / "bad.csv"
+        seg_path.write_text(f"start,end,label\n{row}\n")
+        code, _, err = run_cli(capsys, "analyze", "--wav", wav, "--segments", str(seg_path),
+                               "--model", cli_corpus["ckpt"])
+        assert code == 2
+        assert "bad.csv:2" in err
+
+    def test_missing_segments_file_exits_2(self, capsys, tmp_path, cli_corpus):
+        wav, _ = self.make_call_files(tmp_path)
+        code, _, err = run_cli(capsys, "analyze", "--wav", wav,
+                               "--segments", str(tmp_path / "nope.csv"),
+                               "--model", cli_corpus["ckpt"])
+        assert code == 2
+        assert "nope.csv" in err
+
 
 class TestPrepareCommand:
     def test_end_to_end_with_rejections(self, capsys, tmp_path):
@@ -275,6 +294,24 @@ class TestPrepareCommand:
         assert os.path.isfile(os.path.join(out, "train", "customer", "male", "good.customer", "2.npy"))
         manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["splits"]["train"]["utterances"] == 6  # 3 per speaker
+
+    def test_non_numeric_duration_exits_2(self, capsys, tmp_path):
+        calls = tmp_path / "calls.csv"
+        calls.write_text(
+            "call_id,agent_id,agent_gender,duration,audio_path\n"
+            "c1,agentX,female,2 min,c1.wav\n"
+        )
+        code, _, err = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",
+                               str(calls), "--audio", str(tmp_path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "duration" in err
+
+    def test_missing_calls_file_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",
+                               str(tmp_path / "nope.csv"), "--audio", str(tmp_path),
+                               "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "nope.csv" in err
 
 
 def test_every_command_echoes_config(capsys, tmp_path, tone_wav):

@@ -79,6 +79,23 @@ class TestMelFilterbank:
         with pytest.raises(ConfigError):
             mel_filterbank(n_fft=200)  # not a power of two
 
+    def test_memoized_filterbank_is_shared_and_read_only(self):
+        fb = mel_filterbank(n_mels=96, sample_rate=8000, n_fft=256)
+        assert mel_filterbank(n_mels=96, sample_rate=8000, n_fft=256) is fb
+        with pytest.raises(ValueError):
+            fb.weights[0, 0] = 1.0
+        fresh = mel_filterbank.__wrapped__(n_mels=96, sample_rate=8000, n_fft=256)
+        assert fresh is not fb
+        assert np.array_equal(fresh.weights, fb.weights)
+
+    def test_cached_log_mel_equals_uncached(self):
+        buffer = AudioBuffer(0.1 * np.random.default_rng(4).standard_normal(12345), 8000)
+        uncached = mel_filterbank.__wrapped__(n_mels=96, sample_rate=8000, n_fft=256)
+        assert np.array_equal(
+            log_mel_spectrogram(buffer).values,
+            log_mel_spectrogram(buffer, filterbank=uncached).values,
+        )
+
 
 class TestLogMelSpectrogram:
     def test_ten_second_buffer_gives_96_by_1000(self):

@@ -6,13 +6,16 @@ import pytest
 
 from callseg.errors import ConfigError, LabelError, NumericError, ShapeError, StateError
 from callseg.layers import (
+    MaxPool2d,
     conv2d,
     cross_entropy,
     dense_softmax,
     dropout,
+    elu,
     maxpool2d,
     maxpool2d_backward,
 )
+from callseg.model import ModelConfig, build_crnn
 
 
 def reference_conv2d(x, kernels, bias):
@@ -223,3 +226,106 @@ class TestCrossEntropy:
 
     def test_floor_keeps_loss_finite(self):
         assert np.isfinite(cross_entropy(np.array([1.0, 0.0]), 1))
+
+
+# ---------------------------------------------------------------------------
+# golden tests: the conv blocks pool before the activation, and pool by
+# strided slices, and must reproduce activation-then-pool exactly
+
+def old_elu(x):
+    """ELU in its np.where form, the reference for the np.maximum form."""
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+ACTIVATIONS = {"elu": old_elu, "relu": lambda x: np.maximum(x, 0), "linear": lambda x: x}
+
+
+def reference_forward(model, features, activation):
+    """Activation-then-pool forward with the brute-force pool, dropout off."""
+    out = np.asarray(features, dtype=model.dtype)[None, :, :]
+    for conv, _act, pool, _drop in model.blocks:
+        out = reference_maxpool(ACTIVATIONS[activation](conv2d(out, conv.kernels, conv.bias)), pool.kernel)
+    hs1 = model.rnn1.forward(out[:, 0, :].T)
+    return model.head.forward(model.rnn2.forward(hs1)[-1])
+
+
+def reference_maxpool_backward(x, grad_out, kernel):
+    """Route each gradient to the window's first max in row-major order."""
+    kh, kw = kernel
+    dx = np.zeros_like(x)
+    for ch, i, j in np.ndindex(grad_out.shape):
+        window = x[ch, i * kh : (i + 1) * kh, j * kw : (j + 1) * kw]
+        a, b = np.unravel_index(np.argmax(window), window.shape)
+        dx[ch, i * kh + a, j * kw + b] = grad_out[ch, i, j]
+    return dx
+
+
+@pytest.mark.parametrize("activation", ["elu", "relu", "linear"])
+def test_model_forward_matches_activation_then_pool(activation):
+    config = ModelConfig(conv_filters=(4, 4, 4, 3), rnn_hidden=(5, 4), input_shape=(96, 41),
+                         conv_activation=activation)
+    model = build_crnn(config, seed=3)
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 30.0):  # 30: deep ELU saturation, many tied outputs
+        x = (scale * rng.standard_normal((96, 41))).astype(np.float32)
+        probs = model.forward(x)
+        assert np.array_equal(probs, reference_forward(model, x, activation))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_elu_matches_where_formula_on_edge_values(dtype):
+    info = np.finfo(dtype)
+    x = np.array(
+        [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, -info.tiny / 3,
+         info.tiny, -info.tiny, -1e-8, 1e-8, -0.5, -20.0, -1e4, info.max, info.min,
+         np.inf, -np.inf, np.nan],
+        dtype=dtype,
+    )
+    x = np.concatenate([x, np.linspace(-30, 5, 2001, dtype=dtype)])
+    new, old = elu(x), old_elu(x)
+    assert new.dtype == old.dtype == dtype
+    assert np.array_equal(new, old, equal_nan=True)
+    assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+POOL_CASES = [((2, 7, 9), (3, 3)), ((3, 5, 11), (4, 2)), ((2, 5, 5), (2, 2)), ((1, 2, 3), (4, 2))]
+
+
+def reference_first_max(x, kernel):
+    """Each window's value at its np.argmax position, signed zeros included."""
+    kh, kw = kernel
+    c, h, w = x.shape
+    out = np.empty((c, -(-h // kh), -(-w // kw)), dtype=x.dtype)
+    for ch, i, j in np.ndindex(out.shape):
+        window = x[ch, i * kh : (i + 1) * kh, j * kw : (j + 1) * kw]
+        out[ch, i, j] = window.flat[np.argmax(window)]
+    return out
+
+
+@pytest.mark.parametrize("shape,kernel", POOL_CASES)
+@pytest.mark.parametrize("ties", [False, True])
+def test_pool_layer_backward_matches_argmax_routing(shape, kernel, ties):
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    # ties: values from {-0.0, 0.0, 1.0}, so most windows hold their max twice
+    # or more, and the first of two tied zeros decides the pooled zero's sign
+    x = rng.choice([-0.0, 0.0, 1.0], shape) if ties else rng.standard_normal(shape)
+    layer = MaxPool2d(kernel)
+    out = layer.forward(x)
+    g = rng.standard_normal(out.shape)
+    dx = layer.backward(g)
+    expect_out, arg = maxpool2d(x, kernel)
+    assert np.array_equal(out, expect_out)
+    assert np.array_equal(np.signbit(out), np.signbit(reference_first_max(x, kernel)))
+    assert np.array_equal(dx, maxpool2d_backward(g, arg, kernel, x.shape))
+    assert np.array_equal(dx, reference_maxpool_backward(x, g, kernel))
+
+
+def test_pool_argmax_follows_first_nan_like_argmax():
+    x = np.array([[[1.0, np.nan, 5.0], [np.nan, 2.0, 0.0]]])
+    out, arg = maxpool2d(x, (2, 2))
+    assert np.isnan(out[0, 0, 0]) and out[0, 0, 1] == 5.0
+    assert arg.tolist() == [[[1, 0]]]
+    npt.assert_array_equal(
+        maxpool2d_backward(np.ones((1, 1, 2)), arg, (2, 2), x.shape),
+        reference_maxpool_backward(x, np.ones((1, 1, 2)), (2, 2)),
+    )
