@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioBuffer
-from .dbas import SPEECH_GENDER
+from .dbas import SPEECH_GENDER, segment_samples
 from .errors import NoSpeechError, NoWindowsError
 from .features import HOP, log_mel_spectrogram
 from .model import CrnnModel, label_names
@@ -36,24 +36,20 @@ class SpeakerStream:
 
 
 def build_speaker_streams(audio: AudioBuffer, segments) -> list[SpeakerStream]:
-    """Bundle speech segments per gender; slot 0 is the first gender heard."""
-    rate = audio.sample_rate
-    order, pieces = [], {}
+    """Bundle speech segments per gender; slot 0 is the first gender heard.
+
+    A speech segment that ends after the audio raises InputError.
+    """
+    by_gender: dict[str, list] = {}
     for seg in segments:
         gender = SPEECH_GENDER.get(seg.label)
-        if gender is None:
-            continue
-        if gender not in pieces:
-            order.append(gender)
-            pieces[gender] = []
-        lo = int(round(seg.start * rate))
-        hi = int(round(seg.end * rate))
-        pieces[gender].append(audio.samples[lo:hi])
-    if not order:
+        if gender is not None:
+            by_gender.setdefault(gender, []).append(seg)
+    if not by_gender:
         raise NoSpeechError("call contains no speech segments")
     return [
-        SpeakerStream(slot=i, gender=g, samples=np.concatenate(pieces[g]), sample_rate=rate)
-        for i, g in enumerate(order)
+        SpeakerStream(i, gender, segment_samples(audio, segs), audio.sample_rate)
+        for i, (gender, segs) in enumerate(by_gender.items())
     ]
 
 

@@ -16,7 +16,7 @@ import sys
 from .analyze import analyze_call
 from .audio import load_audio
 from .dbas import CorpusManifest, prepare_corpus, read_calls_csv, read_segments_csv
-from .errors import CallsegError, DataError
+from .errors import CallsegError, ConfigError, DataError, read_json_object
 from .features import load_features, log_mel_spectrogram, save_features
 from .metrics import confusion_to_csv, scores_to_json
 from .model import ModelConfig, build_crnn, label_names, load_checkpoint, save_checkpoint
@@ -29,8 +29,7 @@ def _echo(command: str, payload: dict) -> None:
 
 
 def _cmd_features(args) -> int:
-    _echo("features", {"in": args.wav, "out": args.out, "rate": args.rate,
-                       "normalize": not args.no_normalize})
+    _echo("features", {"in": args.wav, "out": args.out, "rate": args.rate})
     buffer = load_audio(args.wav, expected_rate=args.rate)
     spec = log_mel_spectrogram(buffer)
     save_features(args.out, spec.values)
@@ -90,19 +89,22 @@ def _cmd_synth(args) -> int:
 
 
 def _parse_int_list(text: str, expected: int, flag: str):
-    parts = [int(p) for p in text.split(",")]
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != expected:
-        raise DataError(f"{flag} needs {expected} comma-separated integers, got {text!r}")
+        raise ConfigError(f"{flag} needs {expected} comma-separated integers, got {text!r}")
     return parts
 
 
 def _resolve_train_config(args):
-    file_cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-    model_cfg = dict(file_cfg.get("model", {}))
-    train_cfg = dict(file_cfg.get("train", {}))
+    sections = {"model": {}, "train": {}}
+    for key, value in (read_json_object(args.config) if args.config else {}).items():
+        if key not in sections or not isinstance(value, dict):
+            raise ConfigError(f"{args.config}: {key!r} is not a 'model' or 'train' object")
+        sections[key] = dict(value)
+    model_cfg, train_cfg = sections["model"], sections["train"]
 
     if args.classes is not None:
         model_cfg["n_classes"] = args.classes
@@ -131,8 +133,7 @@ def _resolve_train_config(args):
             raise DataError(f"no training data under {args.corpus}")
         model_cfg["input_shape"] = list(load_features(items[0].path).shape)
 
-    return ModelConfig.from_dict({**ModelConfig().to_dict(), **model_cfg}), \
-        TrainConfig.from_dict({**TrainConfig().to_dict(), **train_cfg})
+    return ModelConfig.from_dict(model_cfg), TrainConfig.from_dict(train_cfg)
 
 
 def _cmd_train(args) -> int:
@@ -200,9 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="wav", required=True, help="input mono PCM WAV")
     p.add_argument("--out", required=True, help="output NPY feature file")
     p.add_argument("--rate", type=int, default=8000, help="required sample rate")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="accepted for compatibility; extraction always writes raw "
-                        "log-mel values (z-score stats live in checkpoints)")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("prepare", help="run the annotation pipeline into a corpus tree")

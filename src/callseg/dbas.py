@@ -170,10 +170,6 @@ class SpeakerSegments:
     class_label: int
     segments: list = field(default_factory=list)
 
-    @property
-    def speech_seconds(self) -> float:
-        return sum(s.duration for s in self.segments)
-
 
 def dbas_label(segments, meta: CallMetadata) -> list[SpeakerSegments]:
     """Assign roles to a call's speech segments from the known agent gender.
@@ -213,6 +209,23 @@ def consistency_filter(history) -> set:
 
 # ---------------------------------------------------------------------------
 # utterances and the corpus tree
+
+def segment_samples(audio: AudioBuffer, segments) -> np.ndarray:
+    """The samples of ``segments``, cut at round(t * rate) and concatenated in order.
+
+    A segment that ends after the last sample raises InputError.
+    """
+    rate = audio.sample_rate
+    pieces = []
+    for seg in segments:
+        lo, hi = int(round(seg.start * rate)), int(round(seg.end * rate))
+        if hi > len(audio.samples):
+            raise InputError(
+                f"segment [{seg.start}, {seg.end}) ends after the audio ({audio.duration} s)"
+            )
+        pieces.append(audio.samples[lo:hi])
+    return np.concatenate(pieces)
+
 
 @dataclass
 class Utterance:
@@ -266,15 +279,6 @@ class CorpusManifest:
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "CorpusManifest":
-        with open(path) as fh:
-            d = json.load(fh)
-        return cls(splits=d["splits"], speaker_splits=d["speaker_splits"])
-
-    def total_utterances(self, split: str) -> int:
-        return self.splits.get(split, {}).get("utterances", 0)
 
 
 def _count_tree(utterances, speaker_splits) -> dict:
@@ -404,20 +408,14 @@ def prepare_corpus(
     speaker_class: dict[str, int] = {}
     for call, sides in kept:
         audio = audio_loader(call)
-        rate = audio.sample_rate
         for side in sides:
             if side.speaker_id not in retained:
                 continue
-            pieces = [
-                audio.samples[int(round(s.start * rate)) : int(round(s.end * rate))]
-                for s in side.segments
-            ]
-            stream = np.concatenate(pieces) if pieces else np.empty(0)
             cut = cut_utterances(
-                stream,
+                segment_samples(audio, side.segments),
                 side.speaker_id,
                 side.class_label,
-                sample_rate=rate,
+                sample_rate=audio.sample_rate,
                 seconds=utterance_seconds,
                 start_index=next_index.get(side.speaker_id, 0),
             )

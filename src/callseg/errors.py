@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the JSON config checks that raise them.
 
 Everything raised on purpose derives from CallsegError, so callers (and the
 CLI) can distinguish bad input from genuine bugs.
 """
+
+import dataclasses
+import json
+import numbers
 
 
 class CallsegError(Exception):
@@ -93,3 +97,49 @@ class SingleGenderError(DbasRejection):
 
 class NoWindowsError(CallsegError):
     """Speaker stream is shorter than one classification window."""
+
+
+def read_json_object(path: str) -> dict:
+    """The JSON object stored in ``path``; anything else raises ConfigError."""
+    try:
+        with open(path) as fh:
+            value = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
+class JsonConfig:
+    """Base of the config dataclasses that are read from JSON files."""
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """Build the config from ``d``; an unknown key raises ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.__name__} needs a JSON object, got {type(d).__name__}")
+        names = {f.name for f in dataclasses.fields(cls)}
+        unknown = [key for key in d if key not in names]
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(map(str, unknown))}")
+        return cls(**d)
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    def _check_field_types(self) -> None:
+        """ConfigError unless each int, float, bool and str field holds that type.
+
+        An int is accepted as a float; a bool is not accepted as a number.
+        """
+        for f in dataclasses.fields(self):
+            kind = getattr(f.type, "__name__", f.type)  # a string under postponed annotations
+            expected, value = _FIELD_TYPES.get(kind, object), getattr(self, f.name)
+            if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+                raise ConfigError(f"{type(self).__name__}.{f.name} must be {kind}, got {value!r}")

@@ -3,7 +3,8 @@
 A 10 s utterance at 8 kHz becomes a (96, 1000) float32 array: 96 mel bands,
 one frame per 80-sample hop, 200-sample Hann window zero-padded to a
 256-point FFT, power spectrum projected through triangular mel filters and
-floored with log(power + 1e-10).
+floored with log(power + 1e-10). These front-end parameters are fixed: the
+model is trained and run on exactly this representation.
 
 Framing convention: the signal is reflect-padded by window//2 on each side
 and one frame is taken centered at every hop multiple that lies inside the
@@ -23,6 +24,7 @@ from .errors import ConfigError, FormatError, ShapeError, TooShortError
 N_MELS = 96
 WINDOW = 200
 HOP = 80
+N_FFT = 256
 LOG_FLOOR = 1e-10
 
 
@@ -39,7 +41,7 @@ class MelFilterbank:
     """Triangular mel filters sampled at FFT bin frequencies.
 
     weights has shape (n_mels, n_fft//2 + 1). Filters are unit-peak
-    triangles, equally spaced on the mel scale between fmin and fmax. A
+    triangles, equally spaced on the mel scale from 0 Hz to Nyquist. A
     triangle too narrow to touch any bin (possible at the low end for large
     n_mels) contributes weight 1.0 at the bin nearest its center, so every
     row stays non-empty. Filterbanks are shared between callers, so weights
@@ -47,17 +49,11 @@ class MelFilterbank:
     """
 
     weights: np.ndarray
-    fmin: float
-    fmax: float
-
-    @property
-    def n_mels(self) -> int:
-        return self.weights.shape[0]
 
 
 @lru_cache(maxsize=16)
 def mel_filterbank(
-    n_mels: int = N_MELS, sample_rate: int = 8000, n_fft: int = 256
+    n_mels: int = N_MELS, sample_rate: int = 8000, n_fft: int = N_FFT
 ) -> MelFilterbank:
     """Build the (n_mels x n_fft//2+1) triangular filterbank, fmin=0, fmax=Nyquist.
 
@@ -86,7 +82,7 @@ def mel_filterbank(
         weights[m] = row
 
     weights.flags.writeable = False
-    return MelFilterbank(weights=weights, fmin=fmin, fmax=fmax)
+    return MelFilterbank(weights=weights)
 
 
 @dataclass
@@ -94,12 +90,6 @@ class MelSpectrogram:
     """Log-amplitude mel energies: values is (n_mels, n_frames) float32."""
 
     values: np.ndarray
-    source_window: int = WINDOW
-    source_hop: int = HOP
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 def frame_count(n_samples: int, hop: int = HOP) -> int:
@@ -107,53 +97,28 @@ def frame_count(n_samples: int, hop: int = HOP) -> int:
     return -(-n_samples // hop)
 
 
-def _fft_size(window: int) -> int:
-    n_fft = 1
-    while n_fft < window:
-        n_fft *= 2
-    return n_fft
-
-
-def log_mel_spectrogram(
-    buffer: AudioBuffer,
-    window: int = WINDOW,
-    hop: int = HOP,
-    n_mels: int = N_MELS,
-    n_fft: int | None = None,
-    filterbank: MelFilterbank | None = None,
-) -> MelSpectrogram:
+def log_mel_spectrogram(buffer: AudioBuffer) -> MelSpectrogram:
     """Compute the log-power mel-spectrogram of a mono buffer.
 
     Raises TooShortError when the buffer holds fewer samples than one
     analysis window.
     """
     signal = buffer.samples
-    if len(signal) < window:
-        raise TooShortError(f"buffer has {len(signal)} samples, window needs {window}")
-    if n_fft is None:
-        n_fft = _fft_size(window)
-    elif n_fft < window:
-        raise ConfigError(f"n_fft={n_fft} smaller than window={window}")
+    if len(signal) < WINDOW:
+        raise TooShortError(f"buffer has {len(signal)} samples, window needs {WINDOW}")
+    filterbank = mel_filterbank(sample_rate=buffer.sample_rate)
 
-    if filterbank is None:
-        filterbank = mel_filterbank(n_mels=n_mels, sample_rate=buffer.sample_rate, n_fft=n_fft)
-    elif filterbank.weights.shape[1] != n_fft // 2 + 1:
-        raise ShapeError("filterbank built for a different FFT size")
+    padded = np.pad(signal, WINDOW // 2, mode="reflect")
+    offsets = np.arange(frame_count(len(signal))) * HOP
+    frames = padded[offsets[:, None] + np.arange(WINDOW)[None, :]]
 
-    pad = window // 2
-    padded = np.pad(signal, pad, mode="reflect")
-    n_frames = frame_count(len(signal), hop)
-
-    offsets = np.arange(n_frames) * hop
-    frames = padded[offsets[:, None] + np.arange(window)[None, :]]
-
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-    spectrum = np.fft.rfft(frames * hann, n=n_fft, axis=1)
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)
+    spectrum = np.fft.rfft(frames * hann, n=N_FFT, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
 
     mel_energy = power @ filterbank.weights.T
     values = np.log(mel_energy + LOG_FLOOR).T.astype(np.float32)
-    return MelSpectrogram(values=values, source_window=window, source_hop=hop)
+    return MelSpectrogram(values=values)
 
 
 def save_features(path: str, values: np.ndarray) -> None:

@@ -141,28 +141,6 @@ def _scatter(grad_out, hits, kernel, input_shape):
     return dx
 
 
-def maxpool2d(x: np.ndarray, kernel: tuple[int, int]):
-    """Ceil-mode max pooling; returns (output, argmax) for gradient routing.
-
-    Partial windows at the right/bottom edge pool over their valid elements.
-    argmax is the row-major first-occurrence index within each window.
-    """
-    out = _maxpool(x, kernel)
-    arg = np.zeros(out.shape, dtype=np.intp)
-    for k, hit in enumerate(_first_max_hits(x, out, kernel)):
-        _edge(arg, hit)[hit] = k
-    return out, arg
-
-
-def maxpool2d_backward(grad_out, arg, kernel, input_shape):
-    """Route each output gradient to the recorded argmax position.
-
-    The other positions get 0, or NaN in a window whose gradient is not finite.
-    """
-    hits = [arg == k for k in range(kernel[0] * kernel[1])]
-    return _scatter(grad_out, hits, kernel, input_shape)
-
-
 def dropout(x: np.ndarray, p: float, training: bool, rng: np.random.Generator | None):
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, ShapeError, StateError
-from .features import MelSpectrogram
+from .errors import CheckpointError, ConfigError, JsonConfig, ShapeError, StateError
 from .layers import Activation, Conv2d, DenseSoftmax, Dropout, MaxPool2d, cross_entropy
 from .recurrent import GRULayer, LSTMLayer
 
@@ -52,8 +51,13 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _int_pair(pair):
+    first, second = pair
+    return int(first), int(second)
+
+
 @dataclass
-class ModelConfig:
+class ModelConfig(JsonConfig):
     conv_filters: tuple = (64, 64, 64, 32)
     pool_kernels: tuple = ((2, 2), (3, 3), (4, 2), (4, 2))
     dropout_p: float = 0.1
@@ -64,16 +68,20 @@ class ModelConfig:
     conv_activation: str = "elu"
 
     def __post_init__(self):
-        self.conv_filters = tuple(int(f) for f in self.conv_filters)
-        self.pool_kernels = tuple((int(kh), int(kw)) for kh, kw in self.pool_kernels)
-        self.rnn_hidden = tuple(int(h) for h in self.rnn_hidden)
-        self.input_shape = tuple(int(s) for s in self.input_shape)
+        for name, convert in (("conv_filters", int), ("pool_kernels", _int_pair),
+                              ("rnn_hidden", int), ("input_shape", int)):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, tuple(convert(v) for v in value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad {name} {value!r}: {exc}") from exc
+        self._check_field_types()
         self.validate()
 
     def validate(self):
         if len(self.conv_filters) != 4 or any(f < 1 for f in self.conv_filters):
             raise ConfigError(f"need four positive conv filter counts, got {self.conv_filters}")
-        if len(self.pool_kernels) != 4:
+        if len(self.pool_kernels) != 4 or any(min(k) < 1 for k in self.pool_kernels):
             raise ConfigError(f"need four pool kernels, got {self.pool_kernels}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
@@ -101,22 +109,6 @@ class ModelConfig:
             freq = _ceil_div(freq, kh)
             time = _ceil_div(time, kw)
         return self.conv_filters[-1], freq, time
-
-    def to_dict(self) -> dict:
-        return {
-            "conv_filters": list(self.conv_filters),
-            "pool_kernels": [list(k) for k in self.pool_kernels],
-            "dropout_p": self.dropout_p,
-            "rnn_kind": self.rnn_kind,
-            "rnn_hidden": list(self.rnn_hidden),
-            "n_classes": self.n_classes,
-            "input_shape": list(self.input_shape),
-            "conv_activation": self.conv_activation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 class CrnnModel:
@@ -195,7 +187,7 @@ class CrnnModel:
     # -- forward / backward --------------------------------------------------
 
     def _prepare_input(self, features):
-        values = features.values if isinstance(features, MelSpectrogram) else np.asarray(features)
+        values = np.asarray(features)
         if values.shape != self.config.input_shape:
             raise ShapeError(
                 f"features shape {values.shape} does not match model input {self.config.input_shape}"
@@ -301,36 +293,38 @@ def load_checkpoint(path: str, dtype=np.float32) -> CrnnModel:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # invalid UTF-8 or JSON
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     offset += header_len
 
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != 1:
         raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
 
-    config = ModelConfig.from_dict(header["config"])
-    param_spec = header["params"]
-    blob_len = sum(int(np.prod(shape)) for _name, shape in param_spec) * 4
+    try:
+        model = build_crnn(ModelConfig.from_dict(header.get("config")), seed=0, dtype=dtype)
+    except (ConfigError, ShapeError) as exc:
+        raise CheckpointError(f"{path}: bad model configuration: {exc}") from exc
+    named = model.named_params()
+    if header.get("params") != [[name, list(arr.shape)] for name, arr in named]:
+        raise CheckpointError(f"{path}: parameter layout does not match the configuration")
+    blob_len = sum(arr.size for _name, arr in named) * 4
     if len(raw) != offset + blob_len + 4:
         raise CheckpointError(f"{path}: truncated or oversized parameter section")
-    blob = raw[offset : offset + blob_len]
     (crc_stored,) = struct.unpack_from("<I", raw, offset + blob_len)
-    if zlib.crc32(blob) != crc_stored:
+    if zlib.crc32(raw[offset : offset + blob_len]) != crc_stored:
         raise CheckpointError(f"{path}: parameter checksum mismatch")
 
-    model = build_crnn(config, seed=0, dtype=dtype)
-    names = [name for name, _arr in model.named_params()]
-    if names != [name for name, _shape in param_spec]:
-        raise CheckpointError(f"{path}: parameter layout does not match the configuration")
-
-    cursor = 0
     arrays = []
-    for _name, shape in param_spec:
-        n = int(np.prod(shape))
-        arrays.append(np.frombuffer(blob, dtype="<f4", count=n, offset=cursor).reshape(shape))
-        cursor += n * 4
+    for _name, arr in named:
+        arrays.append(np.frombuffer(raw, dtype="<f4", count=arr.size, offset=offset).reshape(arr.shape))
+        offset += arr.size * 4
     model.set_params(arrays)
 
     norm = header.get("normalization")
-    model.normalization = None if norm is None else (float(norm["mean"]), float(norm["std"]))
+    try:
+        model.normalization = None if norm is None else (float(norm["mean"]), float(norm["std"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad normalization {norm!r}") from exc
     return model

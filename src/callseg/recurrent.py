@@ -107,9 +107,6 @@ class GRULayer:
             dh = dh * (1.0 - z) + drh * r + daz @ self.uz.T + dar @ self.ur.T
         return dxs
 
-    def param_count(self) -> int:
-        return 3 * (self.in_features * self.hidden + self.hidden * self.hidden + self.hidden)
-
 
 class LSTMLayer:
     """Single LSTM layer; parameter count is 4*(F*H + H*H + H)."""
@@ -197,6 +194,3 @@ class LSTMLayer:
             dh = dai @ self.ui.T + daf @ self.uf.T + dag @ self.ug.T + dao @ self.uo.T
             dc = dc * f
         return dxs
-
-    def param_count(self) -> int:
-        return 4 * (self.in_features * self.hidden + self.hidden * self.hidden + self.hidden)

@@ -12,7 +12,6 @@ voices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .dbas import (
     role_of,
     write_corpus,
 )
-from .errors import ConfigError
+from .errors import ConfigError, JsonConfig, read_json_object
 
 F0_BANDS = {"male": (85.0, 180.0), "female": (165.0, 255.0)}
 # sample away from the band overlap (and inside it even after the per-utterance
@@ -102,7 +101,7 @@ def synth_speech(voice: SpeakerVoice, seconds: float, rng: np.random.Generator,
 
 
 @dataclass
-class SynthSpec:
+class SynthSpec(JsonConfig):
     """Corpus sizing: speakers per class per split, utterances per speaker."""
 
     train_speakers_per_class: int = 6
@@ -112,27 +111,14 @@ class SynthSpec:
     sample_rate: int = 8000
 
     def __post_init__(self):
+        self._check_field_types()
         if min(self.train_speakers_per_class, self.val_speakers_per_class,
                self.utterances_per_speaker) < 1:
             raise ConfigError("speaker and utterance counts must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "train_speakers_per_class": self.train_speakers_per_class,
-            "val_speakers_per_class": self.val_speakers_per_class,
-            "utterances_per_speaker": self.utterances_per_speaker,
-            "utterance_seconds": self.utterance_seconds,
-            "sample_rate": self.sample_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        return cls(**d)
-
     @classmethod
     def from_json_file(cls, path: str) -> "SynthSpec":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json_object(path))
 
 
 def synth_corpus(spec: SynthSpec, seed: int, out_root: str) -> CorpusManifest:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dbas import GENDERS, ROLES, class_label_of
-from .errors import ConfigError, DataError, DivergenceError, LayoutError, NumericError
+from .errors import ConfigError, DataError, DivergenceError, JsonConfig, LayoutError, NumericError
 from .features import load_features
 from .layers import cross_entropy
 from .metrics import confusion
@@ -64,7 +64,7 @@ def scan_corpus(root: str, split: str) -> list[CorpusItem]:
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig):
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -73,19 +73,14 @@ class TrainConfig:
     max_epochs: int = 500
     patience: int = 50
     seed: int = 0
-    shuffle: bool = True
     normalize: bool = True
 
     def __post_init__(self):
+        self._check_field_types()
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size, patience and max_epochs must be >= 1")
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -167,8 +162,7 @@ def train(model: CrnnModel, corpus_root: str, config: TrainConfig):
 
     for epoch in range(1, config.max_epochs + 1):
         order = np.arange(len(train_items))
-        if config.shuffle:
-            np.random.default_rng(config.seed + epoch).shuffle(order)
+        np.random.default_rng(config.seed + epoch).shuffle(order)
 
         epoch_loss, epoch_correct = 0.0, 0
         for start in range(0, len(order), config.batch_size):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,14 @@ def write_tone_wav(path, seconds=10.0, freq=440.0, rate=8000):
     buffer = make_tone(seconds=seconds, freq=freq, rate=rate)
     save_wav(str(path), buffer)
     return buffer
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Replace a checkpoint's JSON header by ``edit(header)``, keeping the parameters."""
+    raw = Path(path).read_bytes()
+    n = int.from_bytes(raw[8:12], "little")
+    new = json.dumps(edit(json.loads(raw[12 : 12 + n]))).encode()
+    Path(path).write_bytes(raw[:8] + len(new).to_bytes(4, "little") + new + raw[12 + n :])
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from callseg.analyze import (
 )
 from callseg.audio import AudioBuffer
 from callseg.dbas import SegmentAnnotation
-from callseg.errors import NoSpeechError, NoWindowsError
+from callseg.errors import InputError, NoSpeechError, NoWindowsError
 
 RATE = 8000
 
@@ -51,6 +51,11 @@ class TestSpeakerStreams:
         audio = AudioBuffer(np.zeros(10 * RATE), RATE)
         with pytest.raises(NoSpeechError):
             build_speaker_streams(audio, [seg(0, 4, "music"), seg(4, 10, "music")])
+
+    def test_segment_past_the_end_rejected(self):
+        audio = AudioBuffer(np.zeros(12 * RATE), RATE)
+        with pytest.raises(InputError):
+            build_speaker_streams(audio, [seg(0, 6, "speech_female"), seg(100, 200, "speech_male")])
 
     def test_single_gender_single_stream(self):
         audio = AudioBuffer(np.zeros(10 * RATE), RATE)

@@ -11,7 +11,7 @@ from callseg.cli import main
 from callseg.features import load_features
 from callseg.model import load_checkpoint
 from callseg.synth import SynthSpec, speaker_voice, synth_speech
-from tests.conftest import write_tone_wav
+from tests.conftest import rewrite_checkpoint_header, write_tone_wav
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +100,21 @@ class TestSynthCommand:
         total = sum(s["utterances"] for s in manifest["splits"].values())
         assert total == 4 * 3 * 2  # classes x speakers x utterances
 
+    @pytest.mark.parametrize("content,needle", [
+        (None, "cannot read"),
+        ("{not json", "not valid JSON"),
+        ('{"speakers_per_class": 2}', "speakers_per_class"),
+    ])
+    def test_bad_spec_exits_2(self, capsys, tmp_path, content, needle):
+        spec = tmp_path / "spec.json"
+        if content is not None:
+            spec.write_text(content)
+        out = tmp_path / "corpus"
+        code, _, err = run_cli(capsys, "synth", "--spec", str(spec), "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert needle in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_checkpoint_and_history_written(self, cli_corpus):
@@ -150,6 +165,36 @@ class TestTrainCommand:
         assert echo["effective_config"]["model"]["n_classes"] == 4  # flag beats file
         assert echo["effective_config"]["train"]["max_epochs"] == 1
         assert load_checkpoint(ckpt).config.n_classes == 4
+
+
+    @pytest.mark.parametrize("content,needle", [
+        (None, "cannot read"),
+        ("{not json", "not valid JSON"),
+        ('["model"]', "JSON object"),
+        ('{"modle": {}}', "modle"),
+        ('{"model": {"conv_filterz": [2, 2, 2, 2]}}', "conv_filterz"),
+        ('{"train": {"shuffle": false}}', "shuffle"),
+        ('{"train": {"batch_size": "x"}}', "batch_size"),
+        ('{"train": {"seed": -1}}', "seed"),
+        ('{"model": {"conv_filters": "ab"}}', "conv_filters"),
+    ])
+    def test_bad_config_file_exits_2(self, capsys, tmp_path, cli_corpus, content, needle):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content)
+        code, _, err = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"],
+                               "--out", str(tmp_path / "m.ckpt"), "--config", str(config))
+        assert code == 2
+        assert needle in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--filters", "a,b,c,d"), ("--hidden", "4,x"),
+                                            ("--filters", "2,2,2")])
+    def test_bad_integer_list_exits_2(self, capsys, tmp_path, cli_corpus, flag, value):
+        code, _, err = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"],
+                               "--out", str(tmp_path / "m.ckpt"), flag, value)
+        assert code == 2
+        assert f"{flag} needs" in err
 
 
 class TestEvaluateCommand:
@@ -248,6 +293,25 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "bad.csv:2" in err
 
+    def test_segment_past_the_end_exits_2(self, capsys, tmp_path, cli_corpus):
+        wav, _ = self.make_call_files(tmp_path)  # 4 s of audio
+        seg_path = tmp_path / "late.csv"
+        seg_path.write_text("start,end,label\n0.0,2.0,speech_female\n100,200,speech_male\n")
+        code, _, err = run_cli(capsys, "analyze", "--wav", wav, "--segments", str(seg_path),
+                               "--model", cli_corpus["ckpt"])
+        assert code == 2
+        assert "ends after the audio" in err
+
+    def test_checkpoint_without_config_exits_2(self, capsys, tmp_path, cli_corpus):
+        ckpt = tmp_path / "noconfig.ckpt"
+        ckpt.write_bytes(Path(cli_corpus["ckpt"]).read_bytes())
+        rewrite_checkpoint_header(ckpt, lambda h: {k: v for k, v in h.items() if k != "config"})
+        wav, segments = self.make_call_files(tmp_path)
+        code, _, err = run_cli(capsys, "analyze", "--wav", wav, "--segments", segments,
+                               "--model", str(ckpt))
+        assert code == 2
+        assert "noconfig.ckpt" in err
+
     def test_missing_segments_file_exits_2(self, capsys, tmp_path, cli_corpus):
         wav, _ = self.make_call_files(tmp_path)
         code, _, err = run_cli(capsys, "analyze", "--wav", wav,
@@ -305,6 +369,21 @@ class TestPrepareCommand:
                                str(calls), "--audio", str(tmp_path), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "duration" in err
+
+    def test_segment_past_the_end_exits_2(self, capsys, tmp_path):
+        save_wav(str(tmp_path / "c1.wav"), AudioBuffer(np.zeros(12 * 8000), 8000))
+        (tmp_path / "c1.csv").write_text("start,end,label\n0,6,speech_female\n100,200,speech_male\n")
+        calls = tmp_path / "calls.csv"
+        calls.write_text(
+            "call_id,agent_id,agent_gender,duration,audio_path\n"
+            "c1,agentX,female,120,c1.wav\n"
+        )
+        out = tmp_path / "corpus"
+        code, _, err = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",
+                               str(calls), "--audio", str(tmp_path), "--out", str(out))
+        assert code == 2
+        assert "ends after the audio" in err
+        assert not out.exists()
 
     def test_missing_calls_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",

@@ -4,7 +4,10 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from callseg.audio import AudioBuffer
 from callseg.dbas import (
     CallMetadata,
     SegmentAnnotation,
@@ -14,9 +17,11 @@ from callseg.dbas import (
     dbas_label,
     filter_calls,
     gender_of,
+    prepare_corpus,
     read_calls_csv,
     read_segments_csv,
     role_of,
+    segment_samples,
     write_corpus,
 )
 from callseg.errors import (
@@ -253,3 +258,53 @@ class TestCsvReaders:
         path.write_text("id,agent,gender,duration,path\nc1,a,female,10,x.wav\n")
         with pytest.raises(FormatError):
             read_calls_csv(str(path))
+
+
+class TestSegmentSamples:
+    def test_segment_ending_at_last_sample_accepted(self):
+        audio = AudioBuffer(np.arange(8000) / 8000, 8000)
+        out = segment_samples(audio, [SegmentAnnotation(0.25, 0.5, "noise"),
+                                      SegmentAnnotation(0.75, 1.0, "speech_male")])
+        npt.assert_array_equal(out, np.concatenate([audio.samples[2000:4000], audio.samples[6000:]]))
+
+    def test_segment_past_the_end_rejected(self):
+        audio = AudioBuffer(np.zeros(8000), 8000)
+        with pytest.raises(InputError, match="ends after the audio"):
+            segment_samples(audio, [SegmentAnnotation(0.5, 1.0001, "speech_male")])
+
+    def test_prepare_corpus_rejects_segment_past_the_end(self, tmp_path):
+        audio = AudioBuffer(np.zeros(12 * 8000), 8000)
+        segments = {"c1": [SegmentAnnotation(0, 6, "speech_female"),
+                           SegmentAnnotation(100, 200, "speech_male")]}
+        root = tmp_path / "corpus"
+        with pytest.raises(InputError, match="ends after the audio"):
+            prepare_corpus([call()], segments, lambda _call: audio, str(root))
+        assert not root.exists()
+
+
+CSV_FIELDS = st.one_of(
+    st.sampled_from(["0", "1.5", "-2", "7e-1", "nan", "inf", "1e400", "", " 3 ", "1_0",
+                     "speech_female", "speech_male", "noise", '"a,b"']),
+    st.text(max_size=6),
+)
+CSV_TEXT = st.one_of(
+    st.binary(max_size=80),
+    st.text(max_size=80).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.lists(st.lists(CSV_FIELDS, max_size=4).map(",".join), max_size=5).map(
+        lambda rows: "\n".join(["start,end,label", *rows]).encode("utf-8", "surrogatepass")
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=CSV_TEXT)
+def test_random_segment_csv_raises_only_format_or_input_errors(tmp_path, raw):
+    path = tmp_path / "segments.csv"
+    path.write_bytes(raw)
+    try:
+        segments = read_segments_csv(str(path))
+        if segments:
+            segment_samples(AudioBuffer(np.zeros(8000), 8000), segments)
+    except (FormatError, InputError):
+        pass

@@ -12,8 +12,6 @@ from callseg.layers import (
     dense_softmax,
     dropout,
     elu,
-    maxpool2d,
-    maxpool2d_backward,
 )
 from callseg.model import ModelConfig, build_crnn
 
@@ -87,13 +85,13 @@ class TestConv2d:
 class TestMaxPool:
     def test_single_window_is_global_max(self):
         x = np.arange(9, dtype=float).reshape(1, 3, 3)
-        out, _ = maxpool2d(x, (3, 3))
+        out = MaxPool2d((3, 3)).forward(x)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 8
 
     def test_ramp_ceil_mode(self):
         x = np.arange(25, dtype=float).reshape(1, 5, 5)
-        out, _ = maxpool2d(x, (3, 3))
+        out = MaxPool2d((3, 3)).forward(x)
         npt.assert_array_equal(out[0], [[12, 14], [22, 24]])
 
     def test_conv_stack_pool_chain(self):
@@ -106,20 +104,23 @@ class TestMaxPool:
     def test_matches_bruteforce_oracle(self, shape, kernel):
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
-        out, _ = maxpool2d(x, kernel)
+        out = MaxPool2d(kernel).forward(x)
         npt.assert_array_equal(out, reference_maxpool(x, kernel))
 
     def test_tie_breaks_to_first_row_major(self):
-        x = np.ones((1, 3, 3))
-        _out, arg = maxpool2d(x, (3, 3))
-        assert arg[0, 0, 0] == 0
+        pool = MaxPool2d((3, 3))
+        pool.forward(np.ones((1, 3, 3)))
+        dx = pool.backward(np.ones((1, 1, 1)))
+        # the whole gradient lands at window position 0
+        assert dx[0, 0, 0] == 1 and np.count_nonzero(dx) == 1
 
     def test_backward_routes_and_conserves_mass(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 7, 9))
-        out, arg = maxpool2d(x, (3, 3))
+        pool = MaxPool2d((3, 3))
+        out = pool.forward(x)
         g = rng.standard_normal(out.shape)
-        dx = maxpool2d_backward(g, arg, (3, 3), x.shape)
+        dx = pool.backward(g)
         assert dx.shape == x.shape
         npt.assert_allclose(dx.sum(), g.sum(), atol=1e-12)
         # exactly one receiving position per window
@@ -313,19 +314,17 @@ def test_pool_layer_backward_matches_argmax_routing(shape, kernel, ties):
     out = layer.forward(x)
     g = rng.standard_normal(out.shape)
     dx = layer.backward(g)
-    expect_out, arg = maxpool2d(x, kernel)
-    assert np.array_equal(out, expect_out)
+    assert np.array_equal(out, reference_maxpool(x, kernel))
     assert np.array_equal(np.signbit(out), np.signbit(reference_first_max(x, kernel)))
-    assert np.array_equal(dx, maxpool2d_backward(g, arg, kernel, x.shape))
     assert np.array_equal(dx, reference_maxpool_backward(x, g, kernel))
 
 
 def test_pool_argmax_follows_first_nan_like_argmax():
     x = np.array([[[1.0, np.nan, 5.0], [np.nan, 2.0, 0.0]]])
-    out, arg = maxpool2d(x, (2, 2))
+    pool = MaxPool2d((2, 2))
+    out = pool.forward(x)
     assert np.isnan(out[0, 0, 0]) and out[0, 0, 1] == 5.0
-    assert arg.tolist() == [[[1, 0]]]
-    npt.assert_array_equal(
-        maxpool2d_backward(np.ones((1, 1, 2)), arg, (2, 2), x.shape),
-        reference_maxpool_backward(x, np.ones((1, 1, 2)), (2, 2)),
-    )
+    dx = pool.backward(np.ones((1, 1, 2)))
+    # window 0 routes to its first NaN, position 1; window 1 to position 0
+    npt.assert_array_equal(dx, [[[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]])
+    npt.assert_array_equal(dx, reference_maxpool_backward(x, np.ones((1, 1, 2)), (2, 2)))

@@ -2,10 +2,13 @@ import pathlib
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import callseg
 from callseg.errors import CheckpointError, ConfigError, ShapeError
 from callseg.model import LABELS_4, ModelConfig, build_crnn, load_checkpoint, save_checkpoint
+from tests.conftest import rewrite_checkpoint_header
 
 TINY = dict(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3), input_shape=(12, 20))
 
@@ -180,3 +183,63 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
+
+
+def without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def with_config(**changes):
+    return lambda h: {**h, "config": {**h["config"], **changes}}
+
+
+HEADER_DAMAGE = {
+    "no_config": without("config"),
+    "unknown_config_key": with_config(shuffle=True),
+    "bad_config_type": with_config(n_classes="two"),
+    "bad_pool_kernel": with_config(pool_kernels=[[0, 2], [3, 3], [4, 2], [4, 2]]),
+    "bad_activation": with_config(conv_activation="tanh"),
+    "no_params": without("params"),
+    "params_shape": lambda h: {**h, "params": [[h["params"][0][0], [1]], *h["params"][1:]]},
+    "normalization_without_mean": lambda h: {**h, "normalization": {"std": 1.5}},
+    "normalization_without_std": lambda h: {**h, "normalization": {"mean": 1.5}},
+    "normalization_not_object": lambda h: {**h, "normalization": [1.5, 2.0]},
+    "header_not_object": lambda h: [h],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+def test_damaged_header_raises_checkpoint_error(tmp_path, damage):
+    model = tiny_model()
+    model.normalization = (-3.25, 1.5)
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(model, path)
+    rewrite_checkpoint_header(path, HEADER_DAMAGE[damage])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    model = tiny_model(seed=3)
+    model.normalization = (-3.25, 1.5)
+    save_checkpoint(model, str(path))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_truncated_or_flipped_checkpoint_loads_or_raises_checkpoint_error(tiny_checkpoint, data):
+    path, raw = tiny_checkpoint
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        index = data.draw(st.integers(0, len(raw) - 1), label="index")
+        flipped = raw[index] ^ data.draw(st.integers(1, 255), label="xor")
+        damaged = raw[:index] + bytes([flipped]) + raw[index + 1 :]
+    path.write_bytes(damaged)
+    try:
+        load_checkpoint(str(path))
+    except CheckpointError:
+        pass
