@@ -39,7 +39,7 @@ from .features import (
     save_features,
 )
 from .gradcheck import gradient_check
-from .layers import conv2d, cross_entropy, dense_softmax, dropout
+from .layers import conv2d, cross_entropy, softmax
 from .metrics import ClassScores, accuracy, class_scores, confusion
 from .model import (
     CrnnModel,

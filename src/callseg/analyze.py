@@ -10,13 +10,14 @@ window length always matches the model's configured input frames.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio import AudioBuffer
 from .dbas import SPEECH_GENDER, segment_samples
-from .errors import NoSpeechError, NoWindowsError
+from .errors import ConfigError, NoSpeechError, NoWindowsError
 from .features import HOP, log_mel_spectrogram
 from .model import CrnnModel, label_names
 
@@ -156,12 +157,15 @@ def analyze_call(
     """Classify every speaker in a call and report aggregated verdicts.
 
     Streams shorter than one window get a no-windows report entry instead
-    of a padded classification.
+    of a padded classification. A shift under one sample raises ConfigError.
     """
+    shift = shift_seconds * audio.sample_rate
+    if not math.isfinite(shift) or round(shift) < 1:
+        raise ConfigError(f"window shift must be at least one sample, got {shift_seconds} s")
+    shift = int(round(shift))
     streams = build_speaker_streams(audio, segments)
     frames = model.config.input_shape[1]
     window = frames * HOP  # one frame per hop
-    shift = int(round(shift_seconds * audio.sample_rate))
 
     reports = []
     for stream in streams:

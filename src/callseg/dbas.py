@@ -23,6 +23,7 @@ import numpy as np
 
 from .audio import AudioBuffer
 from .errors import (
+    ConfigError,
     DataError,
     FormatError,
     InputError,
@@ -30,7 +31,7 @@ from .errors import (
     SingleGenderError,
     SplitLeakError,
 )
-from .features import log_mel_spectrogram, save_features
+from .features import WINDOW, log_mel_spectrogram, save_features
 
 SEGMENT_LABELS = ("speech_female", "speech_male", "music", "noise", "silence")
 SPEECH_GENDER = {"speech_female": "female", "speech_male": "male"}
@@ -39,6 +40,9 @@ ROLES = ("customer", "agent")
 SPLITS = ("train", "validation")
 
 UTTERANCE_SECONDS = 10.0
+# the call lengths the annotation scheme accepts, both inclusive
+MIN_CALL_SECONDS = 60.0
+MAX_CALL_SECONDS = 600.0
 
 
 def class_label_of(role: str, gender: str) -> int:
@@ -155,9 +159,9 @@ def read_calls_csv(path: str) -> list[CallMetadata]:
 # ---------------------------------------------------------------------------
 # annotation scheme
 
-def filter_calls(calls, min_seconds: float = 60.0, max_seconds: float = 600.0):
-    """Keep calls with min_seconds <= duration <= max_seconds (both inclusive)."""
-    return [c for c in calls if min_seconds <= c.duration <= max_seconds]
+def filter_calls(calls):
+    """Keep calls with MIN_CALL_SECONDS <= duration <= MAX_CALL_SECONDS."""
+    return [c for c in calls if MIN_CALL_SECONDS <= c.duration <= MAX_CALL_SECONDS]
 
 
 @dataclass
@@ -235,10 +239,6 @@ class Utterance:
     samples: np.ndarray
     sample_rate: int = 8000
 
-    @property
-    def class2(self) -> int:
-        return self.class_label // 2
-
 
 def cut_utterances(
     samples,
@@ -248,9 +248,14 @@ def cut_utterances(
     seconds: float = UTTERANCE_SECONDS,
     start_index: int = 0,
 ) -> list[Utterance]:
-    """Cut floor(len/seconds) consecutive fixed-length utterances; rest dropped."""
+    """Cut floor(len/seconds) consecutive fixed-length utterances; rest dropped.
+
+    An utterance shorter than one log-mel analysis window raises ConfigError.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     size = int(round(seconds * sample_rate))
+    if size < WINDOW:
+        raise ConfigError(f"utterance length {seconds} s is under one {WINDOW}-sample window")
     count = len(samples) // size
     return [
         Utterance(
@@ -368,19 +373,23 @@ def prepare_corpus(
     val_fraction: float = 0.2,
     seed: int = 0,
     utterance_seconds: float = UTTERANCE_SECONDS,
-    min_seconds: float = 60.0,
-    max_seconds: float = 600.0,
 ) -> PrepareResult:
     """Run the whole annotation pipeline and write the corpus.
 
     calls: CallMetadata list; segments_by_call: call_id -> segment list;
     audio_loader: CallMetadata -> AudioBuffer. Per-call rejections are
     collected, not raised. Validation speakers are chosen by a seeded
-    shuffle of the retained speaker list.
+    shuffle of the retained speaker list. Bad numbers raise ConfigError first.
     """
+    if not 0.0 <= val_fraction <= 1.0:
+        raise ConfigError(f"validation fraction must be in [0, 1], got {val_fraction}")
+    if not 0.0 < utterance_seconds < math.inf:
+        raise ConfigError(f"utterance length must be positive and finite, got {utterance_seconds}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rejections = []
     kept = []
-    accepted_ids = {c.call_id for c in filter_calls(calls, min_seconds, max_seconds)}
+    accepted_ids = {c.call_id for c in filter_calls(calls)}
     for call in calls:
         if call.call_id not in accepted_ids:
             rejections.append((call.call_id, "duration"))
@@ -405,7 +414,6 @@ def prepare_corpus(
 
     utterances = []
     next_index: dict[str, int] = {}
-    speaker_class: dict[str, int] = {}
     for call, sides in kept:
         audio = audio_loader(call)
         for side in sides:
@@ -420,7 +428,6 @@ def prepare_corpus(
                 start_index=next_index.get(side.speaker_id, 0),
             )
             next_index[side.speaker_id] = next_index.get(side.speaker_id, 0) + len(cut)
-            speaker_class[side.speaker_id] = side.class_label
             utterances.extend(cut)
 
     speakers = sorted({u.speaker_id for u in utterances})

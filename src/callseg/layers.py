@@ -1,13 +1,16 @@
-"""Feed-forward layers with hand-written forward and backward passes.
+"""Layers with hand-written forward and backward passes.
 
 Everything operates on single samples (no batch axis): convolution input is
 (C, H, W), recurrent input is (T, F). Batching is a loop plus gradient
 accumulation in the trainer, which keeps shapes exactly as the architecture
 diagrams read and makes runs bit-deterministic.
 
-Each layer caches what its backward pass needs during forward; backward
-accumulates into ``self.grads`` so a batch can sum gradients before the
-optimizer step.
+Layer protocol, here and in ``recurrent``: ``forward(x, training=False,
+rng=None)`` returns the output and caches what backward needs (only dropout
+reads ``training`` and ``rng``); ``backward(grad_out)`` maps the gradient
+at the latest output to the gradient at its input. A layer with parameters
+names them in ``param_names`` and accumulates into ``self.grads``, so a
+batch can sum gradients before the optimizer step.
 """
 
 from __future__ import annotations
@@ -141,21 +144,6 @@ def _scatter(grad_out, hits, kernel, input_shape):
     return dx
 
 
-def dropout(x: np.ndarray, p: float, training: bool, rng: np.random.Generator | None):
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
-
-    Returns (output, mask); mask is None in inference mode.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x, None
-    if rng is None:
-        raise StateError("training-mode dropout needs a seeded generator")
-    mask = (rng.random(x.shape) >= p).astype(x.dtype)
-    return x * mask / (1.0 - p), mask
-
-
 def elu(x: np.ndarray) -> np.ndarray:
     # expm1(x) >= x for x <= 0 and expm1(0) == 0 < x for x > 0, so the max
     # picks the right branch; with numpy 2.4 it matches the np.where form bit
@@ -163,20 +151,10 @@ def elu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, np.expm1(np.minimum(x, 0)))
 
 
-def elu_backward(grad_out, x, y):
-    return grad_out * np.where(x > 0, 1.0, y + 1.0).astype(x.dtype)
-
-
-def dense_softmax(h: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map to K >= 2 logits followed by a max-subtracted softmax."""
-    if weights.ndim != 2 or weights.shape[1] < 2:
-        raise ConfigError(f"softmax head needs K >= 2 output nodes, got {weights.shape}")
-    if h.shape != (weights.shape[0],) or bias.shape != (weights.shape[1],):
-        raise ShapeError(
-            f"dense shapes disagree: h {h.shape}, weights {weights.shape}, bias {bias.shape}"
-        )
-    with np.errstate(invalid="ignore", over="ignore"):  # finiteness checked below
-        logits = h @ weights + bias
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over K >= 2 logits; non-finite logits raise NumericError."""
+    if logits.ndim != 1 or logits.shape[0] < 2:
+        raise ConfigError(f"softmax head needs K >= 2 output nodes, got {logits.shape}")
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in softmax head")
     shifted = logits - logits.max()
@@ -213,7 +191,7 @@ class Conv2d:
         self.input_grad = input_grad
         self._cache = None
 
-    def forward(self, x):
+    def forward(self, x, training=False, rng=None):
         # Backward reads the columns of the latest forward only, so the next
         # forward rebuilds them in the same buffer: a fresh (C*9, H*W) array
         # per call costs more in page faults than the copy into it.
@@ -247,16 +225,13 @@ class Activation:
     the model docstring gives the one case where that differs.
     """
 
-    param_names = ()
-
     def __init__(self, kind: str = "elu"):
         if kind not in ("elu", "relu", "linear"):
             raise ConfigError(f"unknown activation {kind!r}")
         self.kind = kind
-        self.grads = {}
         self._cache = None
 
-    def forward(self, x):
+    def forward(self, x, training=False, rng=None):
         if self.kind == "elu":
             y = elu(x)
         elif self.kind == "relu":
@@ -271,7 +246,7 @@ class Activation:
             raise StateError("activation backward called before forward")
         x, y = self._cache
         if self.kind == "elu":
-            return elu_backward(grad_out, x, y)
+            return grad_out * np.where(x > 0, 1.0, y + 1.0).astype(x.dtype)
         if self.kind == "relu":
             return grad_out * (x > 0)
         return grad_out
@@ -284,14 +259,11 @@ class MaxPool2d:
     row-major first-occurrence argmax from them.
     """
 
-    param_names = ()
-
     def __init__(self, kernel: tuple[int, int]):
         self.kernel = (int(kernel[0]), int(kernel[1]))
-        self.grads = {}
         self._cache = None
 
-    def forward(self, x):
+    def forward(self, x, training=False, rng=None):
         out = _maxpool(x, self.kernel)
         self._cache = (x, out)
         return out
@@ -304,52 +276,74 @@ class MaxPool2d:
 
 
 class Dropout:
-    param_names = ()
+    """Inverted dropout: when training, zero with probability p and scale survivors by 1/(1-p)."""
 
     def __init__(self, p: float):
         if not 0.0 <= p < 1.0:
             raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        self.grads = {}
+        self._mask = None
+
+    def forward(self, x, training=False, rng=None):
+        self._mask = None
+        if not training or self.p == 0.0:
+            return x
+        if rng is None:
+            raise StateError("training-mode dropout needs a seeded generator")
+        self._mask = (rng.random(x.shape) >= self.p).astype(x.dtype)
+        return x * self._mask / (1.0 - self.p)
+
+    def backward(self, grad_out):
+        if self._mask is None:
+            return grad_out
+        return grad_out * self._mask / (1.0 - self.p)
+
+
+class ToSequence:
+    """The (C, 1, T) map of the last conv block read as a (T, C) sequence."""
+
+    def forward(self, x, training=False, rng=None):
+        return x[:, 0, :].T
+
+    def backward(self, grad_out):
+        return np.ascontiguousarray(grad_out.T)[:, None, :]
+
+
+class LastStep:
+    """The last row of a (T, H) sequence; backward gives the other rows zero gradient."""
+
+    def __init__(self):
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
-        out, mask = dropout(x, self.p, training, rng)
-        self._cache = mask
-        return out
+        self._cache = x
+        return x[-1]
 
     def backward(self, grad_out):
-        if self._cache is None:  # inference or p == 0: identity
-            return grad_out
-        return grad_out * self._cache / (1.0 - self.p)
+        grad = np.zeros_like(self._cache)
+        grad[-1] = grad_out
+        return grad
 
 
-class DenseSoftmax:
-    """Dense layer into K classes with the softmax fused in.
-
-    backward_from_label uses the combined softmax + cross-entropy gradient
-    (probs - onehot), which is both faster and numerically exact.
-    """
+class Dense:
+    """Affine map of an (F,) vector to K outputs; the model's head returns logits."""
 
     param_names = ("weights", "bias")
 
-    def __init__(self, in_features, n_classes, rng, dtype=np.float32):
-        self.weights = glorot_uniform((in_features, n_classes), in_features, n_classes, rng, dtype)
-        self.bias = np.zeros(n_classes, dtype=dtype)
+    def __init__(self, n_in, n_out, rng, dtype=np.float32):
+        self.weights = glorot_uniform((n_in, n_out), n_in, n_out, rng, dtype)
+        self.bias = np.zeros(n_out, dtype=dtype)
         self.grads = {n: np.zeros_like(getattr(self, n)) for n in self.param_names}
         self._cache = None
 
-    def forward(self, h):
-        probs = dense_softmax(h, self.weights, self.bias)
-        self._cache = (h, probs)
-        return probs
+    def forward(self, x, training=False, rng=None):
+        self._cache = x
+        with np.errstate(invalid="ignore", over="ignore"):  # softmax checks finiteness
+            return x @ self.weights + self.bias
 
-    def backward_from_label(self, label: int):
+    def backward(self, grad_out):
         if self._cache is None:
-            raise StateError("head backward called before forward")
-        h, probs = self._cache
-        dlogits = probs.astype(self.weights.dtype).copy()
-        dlogits[label] -= 1.0
-        self.grads["weights"] += np.outer(h, dlogits)
-        self.grads["bias"] += dlogits
-        return dlogits @ self.weights.T
+            raise StateError("dense backward called before forward")
+        self.grads["weights"] += np.outer(self._cache, grad_out)
+        self.grads["bias"] += grad_out
+        return grad_out @ self.weights.T

@@ -4,7 +4,7 @@ Four conv blocks (3x3 same conv -> activation -> ceil-mode max pool ->
 dropout) collapse the 96-band spectrogram's frequency axis to 1; the
 surviving (channels, time) map is read as a sequence, passed through two
 recurrent layers (full sequence, then final state only), and a dense
-softmax head produces class probabilities.
+head gives the logits of a softmax; the model runs all of it as one layer list.
 
 Each block computes conv -> pool -> activation -> dropout. The activations
 (elu, relu, linear) are monotone non-decreasing, so pooling first gives the
@@ -29,7 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, JsonConfig, ShapeError, StateError
-from .layers import Activation, Conv2d, DenseSoftmax, Dropout, MaxPool2d, cross_entropy
+from .layers import (
+    Activation,
+    Conv2d,
+    Dense,
+    Dropout,
+    LastStep,
+    MaxPool2d,
+    ToSequence,
+    cross_entropy,
+    softmax,
+)
 from .recurrent import GRULayer, LSTMLayer
 
 LABELS_2 = ("customer", "agent")
@@ -119,33 +129,33 @@ class CrnnModel:
         self.dtype = np.dtype(dtype)
         self.normalization: tuple[float, float] | None = None
 
+        # perfbench's span tracer wraps the instances in ``blocks`` (as
+        # (conv, act, pool, drop)), ``rnn1``, ``rnn2`` and ``head``
         channels_in = 1
         self.blocks = []
-        for i, (filters, pool) in enumerate(zip(config.conv_filters, config.pool_kernels)):
+        self.layers = []
+        for i, (filters, kernel) in enumerate(zip(config.conv_filters, config.pool_kernels)):
             # nothing reads the gradient with respect to the spectrogram
             conv = Conv2d(channels_in, filters, rng, dtype=self.dtype, input_grad=i > 0)
-            self.blocks.append(
-                (conv, Activation(config.conv_activation), MaxPool2d(pool), Dropout(config.dropout_p))
-            )
+            act, pool = Activation(config.conv_activation), MaxPool2d(kernel)
+            drop = Dropout(config.dropout_p)
+            self.blocks.append((conv, act, pool, drop))
+            self.layers += [conv, pool, act, drop]  # pool before the activation, see above
             channels_in = filters
 
         rnn_cls = GRULayer if config.rnn_kind == "gru" else LSTMLayer
         seq_features = config.conv_filters[-1]
         self.rnn1 = rnn_cls(seq_features, config.rnn_hidden[0], rng, dtype=self.dtype)
         self.rnn2 = rnn_cls(config.rnn_hidden[0], config.rnn_hidden[1], rng, dtype=self.dtype)
-        self.head = DenseSoftmax(config.rnn_hidden[1], config.n_classes, rng, dtype=self.dtype)
-        self._ready = False
+        self.head = Dense(config.rnn_hidden[1], config.n_classes, rng, dtype=self.dtype)
+        self.layers += [ToSequence(), self.rnn1, self.rnn2, LastStep(), self.head]
+        self._probs = None
 
     # -- parameter bookkeeping ---------------------------------------------
 
     def _layers(self):
-        out = []
-        for i, (conv, _act, _pool, _drop) in enumerate(self.blocks):
-            out.append((f"conv{i + 1}", conv))
-        out.append(("rnn1", self.rnn1))
-        out.append(("rnn2", self.rnn2))
-        out.append(("head", self.head))
-        return out
+        convs = [(f"conv{i}", block[0]) for i, block in enumerate(self.blocks, 1)]
+        return convs + [("rnn1", self.rnn1), ("rnn2", self.rnn2), ("head", self.head)]
 
     def named_params(self):
         """Ordered (name, array) pairs; order defines the checkpoint layout."""
@@ -198,29 +208,20 @@ class CrnnModel:
             x = (x - self.dtype.type(mean)) / self.dtype.type(std)
         return x
 
-    def _conv_pass(self, x, training, rng):
-        out = x[None, :, :]
-        for conv, act, pool, drop in self.blocks:
-            out = drop.forward(act.forward(pool.forward(conv.forward(out))), training, rng)
-        return out
-
     def forward(self, features, training: bool = False, rng: np.random.Generator | None = None):
         """Class probabilities for one spectrogram; dropout only when training."""
-        x = self._prepare_input(features)
-        out = self._conv_pass(x, training, rng)
-        seq = out[:, 0, :].T  # (time, channels)
-        hs1 = self.rnn1.forward(seq)
-        hs2 = self.rnn2.forward(hs1)
-        probs = self.head.forward(hs2[-1])
-        self._seq_len = seq.shape[0]
-        self._ready = True
-        return probs
+        x = self._prepare_input(features)[None]
+        for layer in self.layers:
+            x = layer.forward(x, training, rng)
+        self._probs = softmax(x)
+        return self._probs
 
     def conv_stack_output(self, features):
         """The (channels, time) map the recurrent layers see, dropout off."""
-        x = self._prepare_input(features)
-        out = self._conv_pass(x, training=False, rng=None)
-        return out[:, 0, :]
+        x = self._prepare_input(features)[None]
+        for layer in self.layers[: self.layers.index(self.rnn1)]:
+            x = layer.forward(x)
+        return x.T
 
     def backward(self, label: int):
         """Accumulate gradients of the cross-entropy loss at ``label``.
@@ -228,17 +229,14 @@ class CrnnModel:
         Must follow a forward pass; each forward permits one backward.
         Returns the ordered gradient list (aliasing the layers' .grads).
         """
-        if not self._ready:
+        if self._probs is None:
             raise StateError("backward called without a completed forward pass")
-        self._ready = False
-        dlast = self.head.backward_from_label(int(label))
-        grad_hs2 = np.zeros((self._seq_len, self.config.rnn_hidden[1]), dtype=self.dtype)
-        grad_hs2[-1] = dlast
-        grad_hs1 = self.rnn2.backward(grad_hs2)
-        grad_seq = self.rnn1.backward(grad_hs1)
-        g = np.ascontiguousarray(grad_seq.T)[:, None, :]
-        for conv, act, pool, drop in reversed(self.blocks):
-            g = conv.backward(pool.backward(act.backward(drop.backward(g))))
+        # softmax + cross-entropy: the loss gradient at the logits is probs - onehot
+        g = self._probs.astype(self.dtype)
+        self._probs = None
+        g[int(label)] -= 1.0
+        for layer in reversed(self.layers):
+            g = layer.backward(g)
         return self.grad_arrays()
 
     def loss(self, features, label: int, training: bool = False, rng=None) -> float:

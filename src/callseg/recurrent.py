@@ -12,7 +12,8 @@ LSTM:  i, f, o = sigmoid gates; g = tanh candidate
        h' = o * tanh(c')
 
 Input-side matrices are Glorot-uniform, recurrent matrices orthogonal,
-biases zero. Sequences are (T, F) rows; hidden output is (T, H).
+biases zero. Sequences are (T, F) rows; hidden output is (T, H); the state
+starts at zero.
 """
 
 from __future__ import annotations
@@ -32,31 +33,38 @@ def _sigmoid(x):
     return out
 
 
-class GRULayer:
-    """Single GRU layer; parameter count is 3*(F*H + H*H + H)."""
-
-    param_names = ("wz", "wr", "wc", "uz", "ur", "uc", "bz", "br", "bc")
+class _Recurrent:
+    """GRU/LSTM base: per gate a ``w``, ``u`` and ``b`` array, drawn in ``param_names`` order."""
 
     def __init__(self, in_features, hidden, rng, dtype=np.float32):
         self.in_features = in_features
         self.hidden = hidden
-        for name in ("wz", "wr", "wc"):
-            setattr(self, name, glorot_uniform((in_features, hidden), in_features, hidden, rng, dtype))
-        for name in ("uz", "ur", "uc"):
-            setattr(self, name, orthogonal(hidden, rng, dtype))
-        for name in ("bz", "br", "bc"):
-            setattr(self, name, np.zeros(hidden, dtype=dtype))
+        init = {
+            "w": lambda: glorot_uniform((in_features, hidden), in_features, hidden, rng, dtype),
+            "u": lambda: orthogonal(hidden, rng, dtype),
+            "b": lambda: np.zeros(hidden, dtype=dtype),
+        }
+        for name in self.param_names:
+            setattr(self, name, init[name[0]]())
         self.grads = {n: np.zeros_like(getattr(self, n)) for n in self.param_names}
         self._cache = None
 
-    def forward(self, xs: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
-        """Run the recurrence over (T, F) inputs; returns all T hidden states."""
+    def _sequence(self, xs):
         xs = np.asarray(xs)
         if xs.ndim != 2 or xs.shape[1] != self.in_features:
             raise ShapeError(f"expected (T, {self.in_features}) inputs, got {xs.shape}")
-        h = np.zeros(self.hidden, dtype=self.wz.dtype) if h0 is None else np.asarray(h0)
-        if h.shape != (self.hidden,):
-            raise ShapeError(f"h0 must be ({self.hidden},), got {h.shape}")
+        return xs
+
+
+class GRULayer(_Recurrent):
+    """Single GRU layer; parameter count is 3*(F*H + H*H + H)."""
+
+    param_names = tuple(kind + gate for kind in "wub" for gate in "zrc")
+
+    def forward(self, xs: np.ndarray, training=False, rng=None) -> np.ndarray:
+        """Run the recurrence over (T, F) inputs; returns all T hidden states."""
+        xs = self._sequence(xs)
+        h = np.zeros(self.hidden, dtype=self.wz.dtype)
 
         steps = []
         hs = np.empty((xs.shape[0], self.hidden), dtype=self.wz.dtype)
@@ -108,32 +116,16 @@ class GRULayer:
         return dxs
 
 
-class LSTMLayer:
+class LSTMLayer(_Recurrent):
     """Single LSTM layer; parameter count is 4*(F*H + H*H + H)."""
 
-    param_names = ("wi", "wf", "wg", "wo", "ui", "uf", "ug", "uo", "bi", "bf", "bg", "bo")
+    param_names = tuple(kind + gate for kind in "wub" for gate in "ifgo")
 
-    def __init__(self, in_features, hidden, rng, dtype=np.float32):
-        self.in_features = in_features
-        self.hidden = hidden
-        for name in ("wi", "wf", "wg", "wo"):
-            setattr(self, name, glorot_uniform((in_features, hidden), in_features, hidden, rng, dtype))
-        for name in ("ui", "uf", "ug", "uo"):
-            setattr(self, name, orthogonal(hidden, rng, dtype))
-        for name in ("bi", "bf", "bg", "bo"):
-            setattr(self, name, np.zeros(hidden, dtype=dtype))
-        self.grads = {n: np.zeros_like(getattr(self, n)) for n in self.param_names}
-        self._cache = None
-
-    def forward(self, xs, h0=None, c0=None):
-        xs = np.asarray(xs)
-        if xs.ndim != 2 or xs.shape[1] != self.in_features:
-            raise ShapeError(f"expected (T, {self.in_features}) inputs, got {xs.shape}")
+    def forward(self, xs, training=False, rng=None):
+        xs = self._sequence(xs)
         dtype = self.wi.dtype
-        h = np.zeros(self.hidden, dtype=dtype) if h0 is None else np.asarray(h0)
-        c = np.zeros(self.hidden, dtype=dtype) if c0 is None else np.asarray(c0)
-        if h.shape != (self.hidden,) or c.shape != (self.hidden,):
-            raise ShapeError(f"h0/c0 must be ({self.hidden},)")
+        h = np.zeros(self.hidden, dtype=dtype)
+        c = np.zeros(self.hidden, dtype=dtype)
 
         steps = []
         hs = np.empty((xs.shape[0], self.hidden), dtype=dtype)

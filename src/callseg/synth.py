@@ -122,7 +122,9 @@ class SynthSpec(JsonConfig):
 
 
 def synth_corpus(spec: SynthSpec, seed: int, out_root: str) -> CorpusManifest:
-    """Generate and write a labeled corpus; identical seeds give identical trees."""
+    """Write a labeled corpus; identical seeds give identical trees, negative ones ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     utterances = []
     assignment = {"train": set(), "validation": set()}
     for class_label in range(4):

@@ -116,6 +116,15 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        spec = write_spec(tmp_path / "spec.json")
+        out = tmp_path / "corpus"
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert "seed must be >= 0" in err
+        assert not out.exists()
+
+
 class TestTrainCommand:
     def test_checkpoint_and_history_written(self, cli_corpus):
         assert os.path.isfile(cli_corpus["ckpt"])
@@ -312,6 +321,16 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "noconfig.ckpt" in err
 
+    @pytest.mark.parametrize("shift", ["0", "0.00001", "nan", "-1"])
+    def test_bad_shift_exits_2(self, capsys, tmp_path, cli_corpus, shift):
+        wav, segments = self.make_call_files(tmp_path)
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "analyze", "--wav", wav, "--segments", segments,
+                               "--model", cli_corpus["ckpt"], "--out", str(out), "--shift", shift)
+        assert code == 2
+        assert "window shift must be at least one sample" in err
+        assert not out.exists()
+
     def test_missing_segments_file_exits_2(self, capsys, tmp_path, cli_corpus):
         wav, _ = self.make_call_files(tmp_path)
         code, _, err = run_cli(capsys, "analyze", "--wav", wav,
@@ -383,6 +402,34 @@ class TestPrepareCommand:
                                str(calls), "--audio", str(tmp_path), "--out", str(out))
         assert code == 2
         assert "ends after the audio" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,needle", [
+        ("--seed", "-1", "seed must be >= 0"),
+        ("--val-fraction", "1.5", "validation fraction"),
+        ("--val-fraction", "-0.5", "validation fraction"),
+        ("--val-fraction", "nan", "validation fraction"),
+        ("--utterance-seconds", "0", "utterance length"),
+        ("--utterance-seconds", "-1", "utterance length"),
+        ("--utterance-seconds", "nan", "utterance length"),
+        ("--utterance-seconds", "0.00001", "utterance length"),
+        ("--utterance-seconds", "0.001", "utterance length"),
+    ])
+    def test_bad_numeric_flag_exits_2_before_writing(self, capsys, tmp_path, flag, value, needle):
+        # one acceptable call, so a run that got past the check would write a corpus
+        save_wav(str(tmp_path / "c1.wav"), AudioBuffer(np.zeros(12 * 8000), 8000))
+        (tmp_path / "c1.csv").write_text("start,end,label\n0,6,speech_female\n6,12,speech_male\n")
+        calls = tmp_path / "calls.csv"
+        calls.write_text(
+            "call_id,agent_id,agent_gender,duration,audio_path\n"
+            "c1,agentX,female,120,c1.wav\n"
+        )
+        out = tmp_path / "corpus"
+        code, _, err = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",
+                               str(calls), "--audio", str(tmp_path), "--out", str(out),
+                               "--utterance-seconds", "2", flag, value)
+        assert code == 2
+        assert needle in err
         assert not out.exists()
 
     def test_missing_calls_file_exits_2(self, capsys, tmp_path):

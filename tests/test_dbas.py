@@ -124,7 +124,7 @@ class TestCutUtterances:
         npt.assert_array_equal(utts[0].samples, samples[:80000])
         npt.assert_array_equal(utts[1].samples, samples[80000:])
         assert [u.utterance_index for u in utts] == [0, 1]
-        assert all(u.class_label == 3 and u.class2 == 1 for u in utts)
+        assert all(u.class_label == 3 for u in utts)
 
     def test_duration_accounting(self):
         rng = np.random.default_rng(0)

@@ -6,12 +6,13 @@ import pytest
 
 from callseg.errors import ConfigError, LabelError, NumericError, ShapeError, StateError
 from callseg.layers import (
+    Dense,
+    Dropout,
     MaxPool2d,
     conv2d,
     cross_entropy,
-    dense_softmax,
-    dropout,
     elu,
+    softmax,
 )
 from callseg.model import ModelConfig, build_crnn
 
@@ -130,20 +131,22 @@ class TestMaxPool:
 class TestDropout:
     def test_inference_identity(self):
         x = np.random.default_rng(0).standard_normal((10, 10))
-        out, mask = dropout(x, 0.5, training=False, rng=None)
-        assert mask is None
+        layer = Dropout(0.5)
+        out = layer.forward(x, training=False, rng=None)
         npt.assert_array_equal(out, x)
+        g = np.ones_like(x)
+        assert layer.backward(g) is g  # no mask was drawn
 
     def test_p_zero_identity_in_training(self):
         x = np.ones((4, 4))
-        out, _ = dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        out = Dropout(0.0).forward(x, training=True, rng=np.random.default_rng(0))
         npt.assert_array_equal(out, x)
 
     def test_zero_fraction_and_survivor_scaling(self):
         p = 0.1
         rng = np.random.default_rng(42)
         x = np.ones(200_000)
-        out, _ = dropout(x, p, training=True, rng=rng)
+        out = Dropout(p).forward(x, training=True, rng=rng)
         zero_fraction = np.mean(out == 0)
         sigma = math.sqrt(p * (1 - p) / x.size)
         assert abs(zero_fraction - p) < 3 * sigma
@@ -152,14 +155,21 @@ class TestDropout:
         npt.assert_allclose(out[out != 0], 1.0 / (1 - p))
 
     def test_bad_probability(self):
-        x = np.zeros(3)
         for p in (1.0, 1.5, -0.1):
             with pytest.raises(ConfigError):
-                dropout(x, p, training=True, rng=np.random.default_rng(0))
+                Dropout(p)
 
     def test_training_requires_rng(self):
         with pytest.raises(StateError):
-            dropout(np.zeros(3), 0.5, training=True, rng=None)
+            Dropout(0.5).forward(np.zeros(3), training=True, rng=None)
+
+
+def dense_softmax(h, weights, bias):
+    """Softmax of a Dense layer holding ``weights`` and ``bias``, the model's head."""
+    layer = Dense(*weights.shape, np.random.default_rng(0), dtype=np.float64)
+    layer.weights[...] = weights
+    layer.bias[...] = bias
+    return softmax(layer.forward(h))
 
 
 class TestDenseSoftmax:
@@ -247,7 +257,7 @@ def reference_forward(model, features, activation):
     for conv, _act, pool, _drop in model.blocks:
         out = reference_maxpool(ACTIVATIONS[activation](conv2d(out, conv.kernels, conv.bias)), pool.kernel)
     hs1 = model.rnn1.forward(out[:, 0, :].T)
-    return model.head.forward(model.rnn2.forward(hs1)[-1])
+    return softmax(model.head.forward(model.rnn2.forward(hs1)[-1]))
 
 
 def reference_maxpool_backward(x, grad_out, kernel):

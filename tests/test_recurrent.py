@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from callseg.errors import ShapeError
+from callseg.layers import glorot_uniform, orthogonal
 from callseg.recurrent import GRULayer, LSTMLayer
 
 
@@ -25,19 +26,25 @@ class TestGRU:
         npt.assert_array_equal(hs, np.zeros((6, 4)))
 
     def test_scalar_closed_form_single_step(self):
+        # the one-step closed form at every step; step 2 starts from h0 = h1 != 0
         g = GRULayer(1, 1, np.random.default_rng(0), dtype=np.float64)
         wz, wr, wc = 0.4, -0.3, 0.8
         uz, ur, uc = 0.2, 0.5, -0.6
         bz, br, bc = 0.1, -0.2, 0.05
         for name, val in zip(g.param_names, (wz, wr, wc, uz, ur, uc, bz, br, bc)):
             getattr(g, name)[...] = val
-        x, h0 = 0.7, 0.3
-        z = sigmoid(wz * x + uz * h0 + bz)
-        r = sigmoid(wr * x + ur * h0 + br)
-        c = math.tanh(wc * x + uc * (r * h0) + bc)
-        expected = (1 - z) * h0 + z * c
-        hs = g.forward(np.array([[x]]), h0=np.array([h0]))
-        assert hs[0, 0] == pytest.approx(expected, rel=1e-12)
+
+        def step(x, h0):
+            z = sigmoid(wz * x + uz * h0 + bz)
+            r = sigmoid(wr * x + ur * h0 + br)
+            c = math.tanh(wc * x + uc * (r * h0) + bc)
+            return (1 - z) * h0 + z * c
+
+        xs = [0.9, 0.7]
+        h1 = step(xs[0], 0.0)
+        hs = g.forward(np.array(xs).reshape(2, 1))
+        assert hs[0, 0] == pytest.approx(h1, rel=1e-12)
+        assert hs[1, 0] == pytest.approx(step(xs[1], h1), rel=1e-12)
 
     def test_scalar_closed_form_two_steps(self):
         g = GRULayer(1, 1, np.random.default_rng(5), dtype=np.float64)
@@ -65,8 +72,6 @@ class TestGRU:
         g = GRULayer(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             g.forward(np.zeros((5, 2)))
-        with pytest.raises(ShapeError):
-            g.forward(np.zeros((5, 3)), h0=np.zeros(2))
 
 
 class TestLSTM:
@@ -76,20 +81,26 @@ class TestLSTM:
         npt.assert_array_equal(hs, np.zeros((6, 4)))
 
     def test_scalar_closed_form_single_step(self):
+        # the one-step closed form at every step; step 2 starts from h1, c1 != 0
         layer = LSTMLayer(1, 1, np.random.default_rng(0), dtype=np.float64)
         vals = dict(wi=0.3, wf=-0.4, wg=0.9, wo=0.2, ui=0.1, uf=0.6, ug=-0.5, uo=0.7,
                     bi=0.05, bf=-0.1, bg=0.2, bo=0.0)
         for name, val in vals.items():
             getattr(layer, name)[...] = val
-        x, h0, c0 = 0.8, 0.2, -0.3
-        i = sigmoid(vals["wi"] * x + vals["ui"] * h0 + vals["bi"])
-        f = sigmoid(vals["wf"] * x + vals["uf"] * h0 + vals["bf"])
-        g = math.tanh(vals["wg"] * x + vals["ug"] * h0 + vals["bg"])
-        o = sigmoid(vals["wo"] * x + vals["uo"] * h0 + vals["bo"])
-        c = f * c0 + i * g
-        expected = o * math.tanh(c)
-        hs = layer.forward(np.array([[x]]), h0=np.array([h0]), c0=np.array([c0]))
-        assert hs[0, 0] == pytest.approx(expected, rel=1e-12)
+
+        def step(x, h0, c0):
+            i = sigmoid(vals["wi"] * x + vals["ui"] * h0 + vals["bi"])
+            f = sigmoid(vals["wf"] * x + vals["uf"] * h0 + vals["bf"])
+            g = math.tanh(vals["wg"] * x + vals["ug"] * h0 + vals["bg"])
+            o = sigmoid(vals["wo"] * x + vals["uo"] * h0 + vals["bo"])
+            c = f * c0 + i * g
+            return o * math.tanh(c), c
+
+        xs = [-0.6, 0.8]
+        h1, c1 = step(xs[0], 0.0, 0.0)
+        hs = layer.forward(np.array(xs).reshape(2, 1))
+        assert hs[0, 0] == pytest.approx(h1, rel=1e-12)
+        assert hs[1, 0] == pytest.approx(step(xs[1], h1, c1)[0], rel=1e-12)
 
     def test_param_count_formula(self):
         # the counting identity feeding the model-level LSTM/GRU comparison
@@ -105,3 +116,22 @@ class TestLSTM:
         layer = LSTMLayer(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((5, 4)))
+
+
+@pytest.mark.parametrize("cls,names", [
+    (GRULayer, ("wz", "wr", "wc", "uz", "ur", "uc", "bz", "br", "bc")),
+    (LSTMLayer, ("wi", "wf", "wg", "wo", "ui", "uf", "ug", "uo", "bi", "bf", "bg", "bo")),
+])
+def test_parameters_drawn_in_checkpoint_order(cls, names):
+    # a seed keeps its initial bits: every w Glorot, then every u orthogonal, zero b
+    layer = cls(3, 4, np.random.default_rng(0), dtype=np.float64)
+    assert layer.param_names == names
+    rng = np.random.default_rng(0)
+    for name in names:
+        if name[0] == "w":
+            expected = glorot_uniform((3, 4), 3, 4, rng, np.float64)
+        elif name[0] == "u":
+            expected = orthogonal(4, rng, np.float64)
+        else:
+            expected = np.zeros(4)
+        npt.assert_array_equal(getattr(layer, name), expected)
