@@ -12,6 +12,7 @@ voices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .dbas import (
     write_corpus,
 )
 from .errors import ConfigError, JsonConfig, read_json_object
+from .features import WINDOW
 
 F0_BANDS = {"male": (85.0, 180.0), "female": (165.0, 255.0)}
 # sample away from the band overlap (and inside it even after the per-utterance
@@ -115,6 +117,12 @@ class SynthSpec(JsonConfig):
         if min(self.train_speakers_per_class, self.val_speakers_per_class,
                self.utterances_per_speaker) < 1:
             raise ConfigError("speaker and utterance counts must be >= 1")
+        if self.sample_rate < 1:
+            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
+        size = self.utterance_seconds * self.sample_rate
+        if not (math.isfinite(size) and round(size) >= WINDOW):
+            raise ConfigError(f"utterance_seconds {self.utterance_seconds} is not finite or "
+                              f"gives under one {WINDOW}-sample window")
 
     @classmethod
     def from_json_file(cls, path: str) -> "SynthSpec":

@@ -9,6 +9,7 @@ split only and are stored on the model so checkpoints stay self-contained.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -81,6 +82,11 @@ class TrainConfig(JsonConfig):
             raise ConfigError("batch_size, patience and max_epochs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (0.0 < self.learning_rate < math.inf and 0.0 < self.eps < math.inf):
+            raise ConfigError(f"learning_rate and eps must be positive and finite, "
+                              f"got {self.learning_rate} and {self.eps}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1} and {self.beta2}")
 
 
 @dataclass

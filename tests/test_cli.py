@@ -104,6 +104,13 @@ class TestSynthCommand:
         (None, "cannot read"),
         ("{not json", "not valid JSON"),
         ('{"speakers_per_class": 2}', "speakers_per_class"),
+        ('{"utterance_seconds": -1}', "utterance_seconds"),
+        ('{"utterance_seconds": NaN}', "utterance_seconds"),
+        ('{"utterance_seconds": Infinity}', "utterance_seconds"),
+        ('{"utterance_seconds": 0}', "utterance_seconds"),
+        ('{"utterance_seconds": 0.001}', "utterance_seconds"),
+        ('{"sample_rate": 0}', "sample_rate"),
+        ('{"sample_rate": -8000}', "sample_rate"),
     ])
     def test_bad_spec_exits_2(self, capsys, tmp_path, content, needle):
         spec = tmp_path / "spec.json"
@@ -186,6 +193,13 @@ class TestTrainCommand:
         ('{"train": {"batch_size": "x"}}', "batch_size"),
         ('{"train": {"seed": -1}}', "seed"),
         ('{"model": {"conv_filters": "ab"}}', "conv_filters"),
+        ('{"train": {"learning_rate": -1}}', "learning_rate"),
+        ('{"train": {"learning_rate": Infinity}}', "learning_rate"),
+        ('{"train": {"eps": 0}}', "eps"),
+        ('{"train": {"eps": -1e-8}}', "eps"),
+        ('{"train": {"beta1": 1.0}}', "beta1"),
+        ('{"train": {"beta1": -0.1}}', "beta1"),
+        ('{"train": {"beta2": 1.5}}', "beta2"),
     ])
     def test_bad_config_file_exits_2(self, capsys, tmp_path, cli_corpus, content, needle):
         config = tmp_path / "config.json"
@@ -204,6 +218,16 @@ class TestTrainCommand:
                                "--out", str(tmp_path / "m.ckpt"), flag, value)
         assert code == 2
         assert f"{flag} needs" in err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_bad_learning_rate_flag_exits_2(self, capsys, tmp_path, cli_corpus, value):
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"], "--out", str(ckpt),
+                               "--filters", "2,2,2,2", "--hidden", "3,3", "--epochs", "1",
+                               "--learning-rate", value)
+        assert code == 2
+        assert "learning_rate" in err
+        assert not ckpt.exists()
 
 
 class TestEvaluateCommand:

@@ -64,10 +64,12 @@ class TestScanCorpus:
 
 
 class TestTrain:
-    def test_frozen_validation_stops_after_patience(self, micro_corpus):
-        # lr = 0 freezes the model, so validation accuracy never improves
+    def test_frozen_validation_stops_after_patience(self, micro_corpus, monkeypatch):
+        # an optimizer step that updates nothing freezes the model, so
+        # validation accuracy never improves
+        monkeypatch.setattr("callseg.training.adam_step", lambda params, grads, state: state)
         model = tiny_model(n_classes=2)
-        config = TrainConfig(learning_rate=0.0, max_epochs=50, patience=3, seed=0)
+        config = TrainConfig(max_epochs=50, patience=3, seed=0)
         _model, history = train(model, micro_corpus, config)
         assert len(history) == 1 + 3
         assert history.best_epoch == 1
