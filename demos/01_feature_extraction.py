@@ -22,9 +22,9 @@ print(f"value range: [{spec.values.min():.2f}, {spec.values.max():.2f}]")
 
 # which mel band holds the tone?
 band = int(np.argmax(spec.values.mean(axis=1)))
-fb = mel_filterbank()
-bin_freqs = np.arange(fb.weights.shape[1]) * RATE / 256
-center = bin_freqs[np.argmax(fb.weights[band])]
+weights = mel_filterbank(RATE)
+bin_freqs = np.arange(weights.shape[1]) * RATE / 256
+center = bin_freqs[np.argmax(weights[band])]
 print(f"most energetic mel band: {band} (peak response near {center:.0f} Hz)")
 
 save_features("demo_features.npy", spec.values)

@@ -31,7 +31,6 @@ from .dbas import (
     write_corpus,
 )
 from .features import (
-    MelFilterbank,
     MelSpectrogram,
     load_features,
     log_mel_spectrogram,
@@ -39,7 +38,7 @@ from .features import (
     save_features,
 )
 from .gradcheck import gradient_check
-from .layers import conv2d, cross_entropy, softmax
+from .layers import cross_entropy, softmax
 from .metrics import ClassScores, accuracy, class_scores, confusion
 from .model import (
     CrnnModel,

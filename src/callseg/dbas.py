@@ -222,12 +222,13 @@ def segment_samples(audio: AudioBuffer, segments) -> np.ndarray:
     rate = audio.sample_rate
     pieces = []
     for seg in segments:
-        lo, hi = int(round(seg.start * rate)), int(round(seg.end * rate))
-        if hi > len(audio.samples):
+        # a huge finite end overflows to inf at the sample rate
+        hi = seg.end * rate
+        if not math.isfinite(hi) or round(hi) > len(audio.samples):
             raise InputError(
                 f"segment [{seg.start}, {seg.end}) ends after the audio ({audio.duration} s)"
             )
-        pieces.append(audio.samples[lo:hi])
+        pieces.append(audio.samples[round(seg.start * rate) : round(hi)])
     return np.concatenate(pieces)
 
 

@@ -17,15 +17,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
-from .errors import ConfigError, FormatError, ShapeError, TooShortError
+from .errors import FormatError, ShapeError, TooShortError
 
 N_MELS = 96
 WINDOW = 200
 HOP = 80
 N_FFT = 256
 LOG_FLOOR = 1e-10
+
+HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)
+HANN.flags.writeable = False
 
 
 def hz_to_mel(f):
@@ -36,43 +40,23 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular mel filters sampled at FFT bin frequencies.
-
-    weights has shape (n_mels, n_fft//2 + 1). Filters are unit-peak
-    triangles, equally spaced on the mel scale from 0 Hz to Nyquist. A
-    triangle too narrow to touch any bin (possible at the low end for large
-    n_mels) contributes weight 1.0 at the bin nearest its center, so every
-    row stays non-empty. Filterbanks are shared between callers, so weights
-    is read-only.
-    """
-
-    weights: np.ndarray
-
-
 @lru_cache(maxsize=16)
-def mel_filterbank(
-    n_mels: int = N_MELS, sample_rate: int = 8000, n_fft: int = N_FFT
-) -> MelFilterbank:
-    """Build the (n_mels x n_fft//2+1) triangular filterbank, fmin=0, fmax=Nyquist.
+def mel_filterbank(sample_rate: int) -> np.ndarray:
+    """The (N_MELS, N_FFT//2 + 1) triangular mel filterbank, fmin=0, fmax=Nyquist.
 
-    Memoized on the arguments; ``mel_filterbank.__wrapped__`` builds afresh.
+    Filters are unit-peak triangles sampled at the FFT bin frequencies and
+    equally spaced on the mel scale. A triangle too narrow to touch any bin
+    contributes weight 1.0 at the bin nearest its center, so every row stays
+    non-empty. Memoized per sample rate and shared between callers, so the
+    array is read-only; ``mel_filterbank.__wrapped__`` builds afresh.
     """
-    if n_mels < 1:
-        raise ConfigError(f"n_mels must be >= 1, got {n_mels}")
-    if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
-        raise ConfigError(f"n_fft must be a power of two >= 2, got {n_fft}")
-
-    fmin, fmax = 0.0, sample_rate / 2.0
-    n_bins = n_fft // 2 + 1
-    bin_freqs = np.arange(n_bins) * sample_rate / n_fft
-
-    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
+    n_bins = N_FFT // 2 + 1
+    bin_freqs = np.arange(n_bins) * sample_rate / N_FFT
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), N_MELS + 2)
     hz_points = mel_to_hz(mel_points)
 
-    weights = np.zeros((n_mels, n_bins), dtype=np.float64)
-    for m in range(n_mels):
+    weights = np.zeros((N_MELS, n_bins), dtype=np.float64)
+    for m in range(N_MELS):
         lo, center, hi = hz_points[m], hz_points[m + 1], hz_points[m + 2]
         rising = (bin_freqs - lo) / (center - lo)
         falling = (hi - bin_freqs) / (hi - center)
@@ -82,7 +66,7 @@ def mel_filterbank(
         weights[m] = row
 
     weights.flags.writeable = False
-    return MelFilterbank(weights=weights)
+    return weights
 
 
 @dataclass
@@ -92,9 +76,9 @@ class MelSpectrogram:
     values: np.ndarray
 
 
-def frame_count(n_samples: int, hop: int = HOP) -> int:
+def frame_count(n_samples: int) -> int:
     """Number of analysis frames: one per hop multiple inside the signal."""
-    return -(-n_samples // hop)
+    return -(-n_samples // HOP)
 
 
 def log_mel_spectrogram(buffer: AudioBuffer) -> MelSpectrogram:
@@ -106,17 +90,14 @@ def log_mel_spectrogram(buffer: AudioBuffer) -> MelSpectrogram:
     signal = buffer.samples
     if len(signal) < WINDOW:
         raise TooShortError(f"buffer has {len(signal)} samples, window needs {WINDOW}")
-    filterbank = mel_filterbank(sample_rate=buffer.sample_rate)
 
     padded = np.pad(signal, WINDOW // 2, mode="reflect")
-    offsets = np.arange(frame_count(len(signal))) * HOP
-    frames = padded[offsets[:, None] + np.arange(WINDOW)[None, :]]
-
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)
-    spectrum = np.fft.rfft(frames * hann, n=N_FFT, axis=1)
+    # the view holds n // HOP + 1 frames, one too many when HOP divides n
+    frames = sliding_window_view(padded, WINDOW)[::HOP][: frame_count(len(signal))]
+    spectrum = np.fft.rfft(frames * HANN, n=N_FFT, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
 
-    mel_energy = power @ filterbank.weights.T
+    mel_energy = power @ mel_filterbank(buffer.sample_rate).T
     values = np.log(mel_energy + LOG_FLOOR).T.astype(np.float32)
     return MelSpectrogram(values=values)
 

@@ -55,27 +55,6 @@ def _im2col3(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _conv2d_cols(x, kernels, bias, cols=None):
-    """conv2d that also returns the im2col columns, built in ``cols`` if it fits."""
-    if kernels.ndim != 4 or kernels.shape[2:] != (3, 3):
-        raise ShapeError(f"kernels must be (C_out, C_in, 3, 3), got {kernels.shape}")
-    if x.ndim != 3 or x.shape[0] != kernels.shape[1]:
-        raise ShapeError(f"input {x.shape} does not match kernels {kernels.shape}")
-    c_out = kernels.shape[0]
-    if bias.shape != (c_out,):
-        raise ShapeError(f"bias must be ({c_out},), got {bias.shape}")
-    _, h, w = x.shape
-    cols = _im2col3(x, cols)
-    out = kernels.reshape(c_out, -1) @ cols
-    out += bias[:, None]
-    return out.reshape(c_out, h, w), cols
-
-
-def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-convolve (C_in, H, W) with (C_out, C_in, 3, 3) kernels, zero padding."""
-    return _conv2d_cols(x, kernels, bias)[0]
-
-
 def _window_slices(x, kernel):
     """The kh*kw strided slices of (C, H, W) ``x``, one per window position.
 
@@ -192,13 +171,18 @@ class Conv2d:
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
+        if x.ndim != 3 or x.shape[0] != self.kernels.shape[1]:
+            raise ShapeError(f"input {x.shape} does not match kernels {self.kernels.shape}")
         # Backward reads the columns of the latest forward only, so the next
         # forward rebuilds them in the same buffer: a fresh (C*9, H*W) array
         # per call costs more in page faults than the copy into it.
         previous = None if self._cache is None else self._cache[1]
-        out, cols = _conv2d_cols(x, self.kernels, self.bias, previous)
+        cols = _im2col3(x, previous)
+        c_out = self.kernels.shape[0]
+        out = self.kernels.reshape(c_out, -1) @ cols
+        out += self.bias[:, None]
         self._cache = (x.shape, cols)
-        return out
+        return out.reshape(c_out, *x.shape[1:])
 
     def backward(self, grad_out):
         if self._cache is None:

@@ -210,6 +210,7 @@ class CrnnModel:
 
     def forward(self, features, training: bool = False, rng: np.random.Generator | None = None):
         """Class probabilities for one spectrogram; dropout only when training."""
+        self._probs = None
         x = self._prepare_input(features)[None]
         for layer in self.layers:
             x = layer.forward(x, training, rng)

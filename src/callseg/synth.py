@@ -34,6 +34,10 @@ F0_BANDS = {"male": (85.0, 180.0), "female": (165.0, 255.0)}
 # sample away from the band overlap (and inside it even after the per-utterance
 # +-3% jitter) so gender stays recoverable
 _F0_SAMPLING = {"male": (92.0, 165.0), "female": (178.0, 247.0)}
+_F0_JITTER = 0.03
+# the highest fundamental synth_speech can draw; a rate whose harmonic cutoff
+# (0.95 x Nyquist) does not exceed it can leave a voice with no harmonic
+_F0_CEILING = max(hi for _lo, hi in _F0_SAMPLING.values()) * (1.0 + _F0_JITTER)
 _TILT = {"male": (1.1, 1.5), "female": (0.55, 0.95)}
 _AM_RATE = {"agent": (6.0, 9.0), "customer": (0.6, 1.6)}
 
@@ -74,7 +78,7 @@ def synth_speech(voice: SpeakerVoice, seconds: float, rng: np.random.Generator,
     n = int(round(seconds * sample_rate))
     t = np.arange(n) / sample_rate
     # per-utterance delivery jitter around the speaker's voice
-    f0 = voice.f0 * (1.0 + rng.uniform(-0.03, 0.03))
+    f0 = voice.f0 * (1.0 + rng.uniform(-_F0_JITTER, _F0_JITTER))
     tilt = voice.tilt + rng.uniform(-0.05, 0.05)
     am_rate = voice.am_rate * (1.0 + rng.uniform(-0.08, 0.08))
 
@@ -117,8 +121,10 @@ class SynthSpec(JsonConfig):
         if min(self.train_speakers_per_class, self.val_speakers_per_class,
                self.utterances_per_speaker) < 1:
             raise ConfigError("speaker and utterance counts must be >= 1")
-        if self.sample_rate < 1:
-            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
+        if not 0.95 * self.sample_rate / 2 > _F0_CEILING:
+            raise ConfigError(f"sample_rate {self.sample_rate} puts the harmonic cutoff "
+                              f"(0.95 x Nyquist) at or below the {_F0_CEILING:.2f} Hz "
+                              "highest fundamental")
         size = self.utterance_seconds * self.sample_rate
         if not (math.isfinite(size) and round(size) >= WINDOW):
             raise ConfigError(f"utterance_seconds {self.utterance_seconds} is not finite or "

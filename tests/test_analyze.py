@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import callseg
 from callseg.analyze import (
@@ -11,8 +13,8 @@ from callseg.analyze import (
     window_count,
 )
 from callseg.audio import AudioBuffer
-from callseg.dbas import SegmentAnnotation
-from callseg.errors import InputError, NoSpeechError, NoWindowsError
+from callseg.dbas import SEGMENT_LABELS, SegmentAnnotation
+from callseg.errors import CallsegError, InputError, NoSpeechError, NoWindowsError
 
 RATE = 8000
 
@@ -203,3 +205,37 @@ class TestAnalyzeCall:
         assert entry["label_name"] in payload["classes"]
         csv = analysis.windows_csv()
         assert csv.startswith("slot,window,p0,p1,p2,p3")
+
+
+# ---------------------------------------------------------------------------
+# property: whatever the call, analyze_call fails only with a CallsegError
+
+# times inside a 3 s call, and any non-negative float up to infinity
+TIME = st.floats(min_value=0.0, max_value=4.0) | st.floats(min_value=0.0, allow_nan=False)
+SEGMENT = st.tuples(TIME, TIME, st.sampled_from(SEGMENT_LABELS)).filter(
+    lambda t: t[0] < t[1]
+).map(lambda t: SegmentAnnotation(*t))
+
+
+@pytest.fixture(scope="module")
+def property_model():
+    config = callseg.ModelConfig(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3),
+                                 n_classes=4, input_shape=(96, 48))
+    return callseg.build_crnn(config, seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rate=st.sampled_from([1, 3, 4000, 8000]),
+    seconds=st.floats(min_value=0.0, max_value=3.0),
+    seed=st.integers(0, 2**32 - 1),
+    segments=st.lists(SEGMENT, max_size=5),
+    shift=st.floats(),
+)
+def test_analyze_call_raises_only_callseg_errors(property_model, rate, seconds, seed,
+                                                 segments, shift):
+    samples = np.random.default_rng(seed).uniform(-1.0, 1.0, int(seconds * rate))
+    try:
+        analyze_call(AudioBuffer(samples, rate), segments, property_model, shift)
+    except CallsegError:
+        pass

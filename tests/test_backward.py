@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import callseg
-from callseg.errors import StateError
+from callseg.errors import NumericError, StateError
 from callseg.layers import Activation, Conv2d, Dropout, MaxPool2d, cross_entropy
 from callseg.recurrent import GRULayer, LSTMLayer
 
@@ -168,6 +168,20 @@ def test_backward_without_forward_raises():
     model.forward(x)
     model.backward(0)
     with pytest.raises(StateError):  # one backward per forward
+        model.backward(0)
+
+
+def test_failed_forward_leaves_no_probabilities():
+    config = callseg.ModelConfig(
+        conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3), dropout_p=0.0, input_shape=(12, 20)
+    )
+    model = callseg.build_crnn(config, seed=0)
+    x = np.random.default_rng(0).standard_normal((12, 20)).astype(np.float32)
+    model.loss(x, 0)  # a forward with no backward
+    x[3, 5] = np.nan
+    with pytest.raises(NumericError):
+        model.forward(x)
+    with pytest.raises(StateError):  # the layer caches hold the failed forward
         model.backward(0)
 
 

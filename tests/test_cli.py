@@ -111,6 +111,8 @@ class TestSynthCommand:
         ('{"utterance_seconds": 0.001}', "utterance_seconds"),
         ('{"sample_rate": 0}', "sample_rate"),
         ('{"sample_rate": -8000}', "sample_rate"),
+        ('{"sample_rate": 1, "utterance_seconds": 300}', "sample_rate"),
+        ('{"sample_rate": 300, "utterance_seconds": 1}', "sample_rate"),
     ])
     def test_bad_spec_exits_2(self, capsys, tmp_path, content, needle):
         spec = tmp_path / "spec.json"

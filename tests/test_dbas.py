@@ -1,3 +1,4 @@
+import math
 import pathlib
 import os
 
@@ -271,6 +272,12 @@ class TestSegmentSamples:
         audio = AudioBuffer(np.zeros(8000), 8000)
         with pytest.raises(InputError, match="ends after the audio"):
             segment_samples(audio, [SegmentAnnotation(0.5, 1.0001, "speech_male")])
+
+    @pytest.mark.parametrize("end", [1e305, math.inf])
+    def test_end_overflowing_at_the_rate_rejected(self, end):
+        audio = AudioBuffer(np.zeros(8000), 8000)
+        with pytest.raises(InputError, match="ends after the audio"):
+            segment_samples(audio, [SegmentAnnotation(0.5, end, "speech_male")])
 
     def test_prepare_corpus_rejects_segment_past_the_end(self, tmp_path):
         audio = AudioBuffer(np.zeros(12 * 8000), 8000)

@@ -6,12 +6,14 @@ import pytest
 
 import callseg.features
 from callseg.audio import AudioBuffer
-from callseg.errors import ConfigError, TooShortError
+from callseg.errors import TooShortError
 from callseg.features import (
     LOG_FLOOR,
+    hz_to_mel,
     load_features,
     log_mel_spectrogram,
     mel_filterbank,
+    mel_to_hz,
     save_features,
 )
 from tests.conftest import make_tone
@@ -32,68 +34,107 @@ def filter_centers_hz(n_mels, sample_rate):
 
 
 class TestMelFilterbank:
-    def test_single_filter_spans_full_band(self):
-        fb = mel_filterbank(n_mels=1, sample_rate=8000, n_fft=256)
-        assert fb.weights.shape == (1, 129)
-        bin_freqs = np.arange(129) * 8000 / 256
-        peak_hz = inv_mel(mel_of(4000.0) / 2.0)
-        peak_bin = int(np.argmax(fb.weights[0]))
-        assert abs(bin_freqs[peak_bin] - peak_hz) <= 8000 / 256
-        # triangle spans the whole 0..4000 band
-        assert fb.weights[0, 1] > 0 and fb.weights[0, -2] > 0
-
     def test_sine_energy_lands_in_nearest_filter(self):
         # oracle: mel-scale formula and triangle geometry evaluated directly
-        sr, n_fft, n_mels = 8000, 256, 96
-        centers = filter_centers_hz(n_mels, sr)
+        sr = 8000
+        centers = filter_centers_hz(96, sr)
         expected = int(np.argmin([abs(c - 1000.0) for c in centers]))
 
         t = np.arange(2048) / sr
         sine = np.sin(2 * np.pi * 1000.0 * t)
-        frame = sine[:n_fft] * np.hanning(n_fft)
+        frame = sine[:256] * np.hanning(256)
         power = np.abs(np.fft.rfft(frame)) ** 2
-        fb = mel_filterbank(n_mels=n_mels, sample_rate=sr, n_fft=n_fft)
-        energies = fb.weights @ power
+        energies = mel_filterbank(sr) @ power
         assert int(np.argmax(energies)) == expected
 
     def test_column_coverage_between_first_and_last_centers(self):
-        fb = mel_filterbank(n_mels=96, sample_rate=8000, n_fft=256)
         centers = filter_centers_hz(96, 8000)
         bin_freqs = np.arange(129) * 8000 / 256
-        column_sums = fb.weights.sum(axis=0)
+        column_sums = mel_filterbank(8000).sum(axis=0)
         for k, f in enumerate(bin_freqs):
             if centers[0] <= f <= centers[-1]:
                 assert column_sums[k] > 0, f"bin {k} at {f} Hz uncovered"
 
-    @pytest.mark.parametrize(
-        "n_mels,sr,n_fft", [(96, 8000, 256), (40, 8000, 512), (1, 8000, 256), (96, 16000, 512)]
-    )
+    @pytest.mark.parametrize("n_mels,sr,n_fft", [(96, 8000, 256), (96, 16000, 256)])
     def test_rows_positive_weights_finite(self, n_mels, sr, n_fft):
-        fb = mel_filterbank(n_mels=n_mels, sample_rate=sr, n_fft=n_fft)
-        assert np.all(np.isfinite(fb.weights))
-        assert np.all(fb.weights >= 0)
-        assert np.all(fb.weights.sum(axis=1) > 0)
-
-    def test_config_errors(self):
-        with pytest.raises(ConfigError):
-            mel_filterbank(n_mels=0)
-        with pytest.raises(ConfigError):
-            mel_filterbank(n_fft=200)  # not a power of two
+        weights = mel_filterbank(sr)
+        assert weights.shape == (n_mels, n_fft // 2 + 1)
+        assert weights.dtype == np.float64
+        assert np.all(np.isfinite(weights))
+        assert np.all(weights >= 0)
+        assert np.all(weights.sum(axis=1) > 0)
 
     def test_memoized_filterbank_is_shared_and_read_only(self):
-        fb = mel_filterbank(n_mels=96, sample_rate=8000, n_fft=256)
-        assert mel_filterbank(n_mels=96, sample_rate=8000, n_fft=256) is fb
+        weights = mel_filterbank(8000)
+        assert isinstance(weights, np.ndarray)
+        assert mel_filterbank(8000) is weights
         with pytest.raises(ValueError):
-            fb.weights[0, 0] = 1.0
-        fresh = mel_filterbank.__wrapped__(n_mels=96, sample_rate=8000, n_fft=256)
-        assert fresh is not fb
-        assert np.array_equal(fresh.weights, fb.weights)
+            weights[0, 0] = 1.0
+        fresh = mel_filterbank.__wrapped__(8000)
+        assert fresh is not weights
+        assert np.array_equal(fresh, weights)
 
     def test_cached_log_mel_equals_uncached(self, monkeypatch):
         buffer = AudioBuffer(0.1 * np.random.default_rng(4).standard_normal(12345), 8000)
         cached = log_mel_spectrogram(buffer).values
         monkeypatch.setattr(callseg.features, "mel_filterbank", mel_filterbank.__wrapped__)
         assert np.array_equal(cached, log_mel_spectrogram(buffer).values)
+
+
+# ---------------------------------------------------------------------------
+# golden test: the fixed front end (one filterbank array, a constant Hann
+# window, strided frames) must reproduce the gather-based front end exactly
+
+def reference_mel_filterbank(sample_rate):
+    """The 96-band, 256-point filterbank as built when its size was a parameter."""
+    bin_freqs = np.arange(129) * sample_rate / 256
+    hz_points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), 98))
+    weights = np.zeros((96, 129), dtype=np.float64)
+    for m in range(96):
+        lo, center, hi = hz_points[m], hz_points[m + 1], hz_points[m + 2]
+        rising = (bin_freqs - lo) / (center - lo)
+        falling = (hi - bin_freqs) / (hi - center)
+        row = np.maximum(0.0, np.minimum(rising, falling))
+        if not row.any():
+            row[int(np.argmin(np.abs(bin_freqs - center)))] = 1.0
+        weights[m] = row
+    return weights
+
+
+def reference_log_mel(samples, sample_rate):
+    """Log-mel with frames gathered through an index array and a per-call window."""
+    padded = np.pad(samples, 100, mode="reflect")
+    offsets = np.arange(-(-len(samples) // 80)) * 80
+    frames = padded[offsets[:, None] + np.arange(200)[None, :]]
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(200) / 200)
+    spectrum = np.fft.rfft(frames * hann, n=256, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    mel_energy = power @ reference_mel_filterbank(sample_rate).T
+    return np.log(mel_energy + LOG_FLOOR).T.astype(np.float32)
+
+
+GOLDEN_CASES = (
+    [(8000, n) for n in (200, 201, 279, 280, 281, 799, 800, 801, 12345, 80000, 80001, 488800)]
+    + [(sr, n) for sr in (16000, 11025, 600, 1) for n in (200, 201, 1601, 12345, 160000)]
+)
+
+
+@pytest.mark.parametrize("sr,n", GOLDEN_CASES)
+def test_log_mel_matches_gather_reference_bytewise(sr, n):
+    samples = 0.3 * np.random.default_rng(n).standard_normal(n).clip(-3, 3) / 3
+    buffer = AudioBuffer(samples, sr)
+    assert log_mel_spectrogram(buffer).values.tobytes() == reference_log_mel(samples, sr).tobytes()
+
+
+def test_zero_log_mel_matches_gather_reference_bytewise():
+    samples = np.zeros(80000)
+    got = log_mel_spectrogram(AudioBuffer(samples, 8000)).values
+    assert got.tobytes() == reference_log_mel(samples, 8000).tobytes()
+
+
+@pytest.mark.parametrize("sr", [8000, 16000, 11025, 600, 537, 1])
+def test_filterbank_matches_reference(sr):
+    assert np.array_equal(mel_filterbank(sr), reference_mel_filterbank(sr))
 
 
 class TestLogMelSpectrogram:

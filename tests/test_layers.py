@@ -6,10 +6,10 @@ import pytest
 
 from callseg.errors import ConfigError, LabelError, NumericError, ShapeError, StateError
 from callseg.layers import (
+    Conv2d,
     Dense,
     Dropout,
     MaxPool2d,
-    conv2d,
     cross_entropy,
     elu,
     softmax,
@@ -48,24 +48,33 @@ def reference_maxpool(x, kernel):
     return out
 
 
+def conv_layer(kernels, bias):
+    """A float64 Conv2d holding the given (C_out, C_in, 3, 3) kernels and bias."""
+    layer = Conv2d(kernels.shape[1], kernels.shape[0], np.random.default_rng(0), dtype=np.float64)
+    layer.kernels[...] = kernels
+    layer.bias[...] = bias
+    return layer
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 6, 7))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        npt.assert_allclose(conv2d(x, k, np.zeros(1)), x)
+        npt.assert_allclose(conv_layer(k, np.zeros(1)).forward(x), x)
 
     def test_all_ones_kernel_on_ones_input(self):
         x = np.ones((1, 5, 5))
-        out = conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1))[0]
+        out = conv_layer(np.ones((1, 1, 3, 3)), np.zeros(1)).forward(x)[0]
         assert out[2, 2] == 9
         assert out[0, 0] == out[0, 4] == out[4, 0] == out[4, 4] == 4
         assert out[0, 2] == out[2, 0] == out[2, 4] == out[4, 2] == 6
 
     def test_zero_input_gives_bias(self):
         bias = np.array([1.5, -2.0])
-        out = conv2d(np.zeros((3, 4, 4)), np.random.default_rng(1).standard_normal((2, 3, 3, 3)), bias)
+        layer = conv_layer(np.random.default_rng(1).standard_normal((2, 3, 3, 3)), bias)
+        out = layer.forward(np.zeros((3, 4, 4)))
         npt.assert_allclose(out[0], 1.5)
         npt.assert_allclose(out[1], -2.0)
 
@@ -74,13 +83,14 @@ class TestConv2d:
         x = rng.standard_normal((2, 5, 6))
         k = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        npt.assert_allclose(conv2d(x, k, b), reference_conv2d(x, k, b), atol=1e-12)
+        npt.assert_allclose(conv_layer(k, b).forward(x), reference_conv2d(x, k, b), atol=1e-12)
 
     def test_channel_mismatch(self):
+        layer = conv_layer(np.zeros((1, 3, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeError):
-            conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+            layer.forward(np.zeros((2, 4, 4)))
         with pytest.raises(ShapeError):
-            conv2d(np.zeros((1, 4, 4)), np.zeros((1, 1, 5, 5)), np.zeros(1))
+            layer.forward(np.zeros((3, 4)))
 
 
 class TestMaxPool:
@@ -255,7 +265,7 @@ def reference_forward(model, features, activation):
     """Activation-then-pool forward with the brute-force pool, dropout off."""
     out = np.asarray(features, dtype=model.dtype)[None, :, :]
     for conv, _act, pool, _drop in model.blocks:
-        out = reference_maxpool(ACTIVATIONS[activation](conv2d(out, conv.kernels, conv.bias)), pool.kernel)
+        out = reference_maxpool(ACTIVATIONS[activation](conv.forward(out)), pool.kernel)
     hs1 = model.rnn1.forward(out[:, 0, :].T)
     return softmax(model.head.forward(model.rnn2.forward(hs1)[-1]))
 

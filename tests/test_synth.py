@@ -83,6 +83,18 @@ def test_counts_must_be_positive():
         SynthSpec(train_speakers_per_class=0)
 
 
+def test_lowest_accepted_rate_gives_finite_audio():
+    with pytest.raises(ConfigError):
+        SynthSpec(sample_rate=535)
+    rate = SynthSpec(sample_rate=536).sample_rate
+    voice = speaker_voice(0, np.random.default_rng(0))
+    voice.f0 = 247.0  # top of the female sampling range
+    for seed in range(20):
+        samples = synth_speech(voice, 1.0, np.random.default_rng(seed), rate)
+        assert np.all(np.isfinite(samples))
+        assert np.abs(samples).max() > 0.1  # a harmonic, not the noise floor alone
+
+
 class TestSynthCall:
     def test_structure_and_truth(self):
         audio, segments, truth = synth_call(seed=5, agent_gender="female", turns=4,
