@@ -13,7 +13,6 @@ from .analyze import (
     aggregate_speaker,
     analyze_call,
     build_speaker_streams,
-    sliding_windows,
     window_count,
 )
 from .audio import AudioBuffer, load_audio, save_wav

@@ -16,7 +16,7 @@ import sys
 from .analyze import analyze_call
 from .audio import load_audio
 from .dbas import CorpusManifest, prepare_corpus, read_calls_csv, read_segments_csv
-from .errors import CallsegError, ConfigError, DataError, read_json_object
+from .errors import CallsegError, ConfigError, DataError, OutputPathError, read_json_object
 from .features import load_features, log_mel_spectrogram, save_features
 from .metrics import confusion_to_csv, scores_to_json
 from .model import ModelConfig, build_crnn, label_names, load_checkpoint, save_checkpoint
@@ -26,6 +26,19 @@ from .training import TrainConfig, evaluate, scan_corpus, train
 
 def _echo(command: str, payload: dict) -> None:
     print(json.dumps({"command": command, "effective_config": payload}, sort_keys=True))
+
+
+def _check_output_paths(*paths) -> None:
+    """OutputPathError unless every given path names a file its directory lets us create.
+
+    Commands call this before any work, so a typo fails fast; empty paths are skipped.
+    """
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+            raise OutputPathError(f"cannot write {path}: {parent} is not a writable directory")
+        if os.path.isdir(path):
+            raise OutputPathError(f"cannot write {path}: it is a directory")
 
 
 def _cmd_features(args) -> int:
@@ -156,6 +169,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     _echo("evaluate", {"corpus": args.corpus, "split": args.split, "model": args.model,
                        "out": args.out, "confusion_csv": args.confusion_csv})
+    _check_output_paths(args.out, args.confusion_csv)
     model = load_checkpoint(args.model)
     result = evaluate(model, args.corpus, args.split)
     names = label_names(model.config.n_classes)
@@ -174,6 +188,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_analyze(args) -> int:
     _echo("analyze", {"wav": args.wav, "segments": args.segments, "model": args.model,
                       "out": args.out, "shift": args.shift})
+    _check_output_paths(args.out, args.windows_csv)
     model = load_checkpoint(args.model)
     audio = load_audio(args.wav)
     segments = read_segments_csv(args.segments)

@@ -77,6 +77,10 @@ class InputError(CallsegError):
     """Mismatched or out-of-range inputs to a metric/aggregation routine."""
 
 
+class OutputPathError(CallsegError):
+    """An output file cannot be created at the path given for it."""
+
+
 class DbasRejection(CallsegError):
     """A call was rejected by the annotation scheme; .reason says why."""
 

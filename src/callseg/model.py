@@ -202,7 +202,11 @@ class CrnnModel:
             raise ShapeError(
                 f"features shape {values.shape} does not match model input {self.config.input_shape}"
             )
-        x = values.astype(self.dtype)
+        return self.normalize(values)
+
+    def normalize(self, values):
+        """Spectrogram values of any width in the model's dtype, normalized as in training."""
+        x = np.asarray(values).astype(self.dtype)
         if self.normalization is not None:
             mean, std = self.normalization
             x = (x - self.dtype.type(mean)) / self.dtype.type(std)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,16 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import callseg
+from callseg import analyze
 from callseg.analyze import (
     aggregate_speaker,
     analyze_call,
     build_speaker_streams,
-    sliding_windows,
     window_count,
 )
 from callseg.audio import AudioBuffer
 from callseg.dbas import SEGMENT_LABELS, SegmentAnnotation
 from callseg.errors import CallsegError, InputError, NoSpeechError, NoWindowsError
+from callseg.features import HOP, log_mel_spectrogram
 
 RATE = 8000
 
@@ -84,13 +91,6 @@ class TestSlidingWindows:
             shift = int(rng.integers(1, 20))
             brute = sum(1 for off in range(0, n + 1, shift) if off + window <= n)
             assert window_count(n, window, shift) == brute
-
-    def test_window_contents(self):
-        samples = np.arange(100.0)
-        wins = sliding_windows(samples, window=30, shift=20)
-        assert len(wins) == 4
-        npt.assert_array_equal(wins[1], samples[20:50])
-        npt.assert_array_equal(wins[3], samples[60:90])
 
 
 class TestAggregate:
@@ -205,6 +205,136 @@ class TestAnalyzeCall:
         assert entry["label_name"] in payload["classes"]
         csv = analysis.windows_csv()
         assert csv.startswith("slot,window,p0,p1,p2,p3")
+
+
+# ---------------------------------------------------------------------------
+# golden: analyze_call's shared tile path against classifying each window alone
+
+def window_of(model):
+    return model.config.input_shape[1] * HOP
+
+
+def oracle_window_probs(model, samples, rate, shift):
+    """Slice each window out of the stream, then log-mel and model.forward it."""
+    window = window_of(model)
+    return [
+        model.forward(log_mel_spectrogram(AudioBuffer(samples[off : off + window], rate)).values)
+        for off in range(0, len(samples) - window + 1, shift)
+    ]
+
+
+def assert_matches_oracle(model, samples, shift_seconds):
+    """analyze_call's window probabilities equal the oracle's bit for bit; returns the count."""
+    audio = AudioBuffer(samples, RATE)
+    analysis = analyze_call(audio, [seg(0, audio.duration, "speech_female")], model,
+                            shift_seconds, keep_window_probs=True)
+    got = analysis.speakers[0].window_probs
+    want = oracle_window_probs(model, samples, RATE, round(shift_seconds * RATE))
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g, w), f"window {i}: {g} != {w}"
+    return len(want)
+
+
+def noise(n_samples, seed=7):
+    return 0.3 * np.random.default_rng(seed).standard_normal(n_samples)
+
+
+GOLDEN_CONFIGS = {
+    # 2.5 s windows, so 1, 0.5 and 0.33 s shifts all overlap
+    "gru": dict(conv_filters=(3, 2, 2, 2), rnn_hidden=(3, 3), input_shape=(96, 250)),
+    # pool1 (3, 3): window offsets pair up with a tile's only 240 samples apart
+    "lstm-pool1-3x3": dict(conv_filters=(3, 2, 2, 2), rnn_hidden=(3, 3), rnn_kind="lstm",
+                           input_shape=(96, 201),
+                           pool_kernels=((3, 3), (2, 2), (4, 2), (4, 2))),
+}
+
+
+@pytest.fixture(scope="module", params=["fast"] + list(GOLDEN_CONFIGS))
+def golden_model(request, fast_model):
+    if request.param == "fast":
+        return fast_model
+    model = callseg.build_crnn(callseg.ModelConfig(n_classes=4, **GOLDEN_CONFIGS[request.param]),
+                               seed=3)
+    model.normalization = (-4.0, 2.5)
+    return model
+
+
+class TestSharedFrontGolden:
+    # 81 samples: offsets pair up with pool1 in 160 (or 240) interleaved groups
+    @pytest.mark.parametrize("shift", [1.0, 0.5, 0.33, 0.1, 81 / RATE])
+    def test_matches_per_window_classification(self, golden_model, shift):
+        extra = 1.2 if shift < 0.05 else 5.7  # keep the 81-sample case near 120 windows
+        n_samples = window_of(golden_model) + int(extra * RATE)
+        assert assert_matches_oracle(golden_model, noise(n_samples), shift) > 1
+
+    def test_shorter_than_one_window(self, golden_model):
+        assert assert_matches_oracle(golden_model, noise(window_of(golden_model) - 1), 1.0) == 0
+
+    def test_exactly_one_window(self, golden_model):
+        assert assert_matches_oracle(golden_model, noise(window_of(golden_model)), 0.33) == 1
+
+    @pytest.mark.parametrize("shift", [0.5, 0.33])
+    def test_last_window_ends_at_stream_end(self, golden_model, shift):
+        n_samples = window_of(golden_model) + 7 * round(shift * RATE)
+        assert assert_matches_oracle(golden_model, noise(n_samples), shift) == 8
+
+    @pytest.mark.parametrize("n_windows, tiles", [(3, [3]), (4, [4]), (5, [4, 1])])
+    def test_window_counts_at_the_tile_size(self, monkeypatch, n_windows, tiles):
+        model = callseg.build_crnn(callseg.ModelConfig(n_classes=4, **GOLDEN_CONFIGS["gru"]),
+                                   seed=3)
+        # conv1 output of 4 windows at a 1 s shift: 3 filters x 96 bands x 550 frames
+        monkeypatch.setattr(analyze, "TILE_BYTES", 3 * 96 * 4 * 550)
+        seen = []
+        plan = analyze._tiles
+
+        def spy(*args):
+            for tile in plan(*args):
+                seen.append(len(tile))
+                yield tile
+
+        monkeypatch.setattr(analyze, "_tiles", spy)
+        n_samples = window_of(model) + (n_windows - 1) * RATE + RATE // 2
+        assert assert_matches_oracle(model, noise(n_samples), 1.0) == n_windows
+        assert seen == tiles
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_default_model_exact_at_blas_threads(self, threads):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(root / "src"))
+        script = (
+            "import callseg\n"
+            "from tests.test_analyze import assert_matches_oracle, noise\n"
+            "model = callseg.build_crnn(callseg.ModelConfig(), seed=0)\n"
+            "print(assert_matches_oracle(model, noise(13 * 8000 + 123), 1.0))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["4"]
+
+
+def test_peak_memory_does_not_grow_with_stream_length(monkeypatch):
+    config = callseg.ModelConfig(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3),
+                                 input_shape=(96, 400))
+    model = callseg.build_crnn(config, seed=0)
+    # tiles of 10 s (four 4 s windows at a 2 s shift) of this model's conv1 output
+    monkeypatch.setattr(analyze, "TILE_BYTES", 2 * 96 * 4 * 1000)
+
+    def peak(seconds):
+        audio = AudioBuffer(noise(seconds * RATE), RATE)
+        segments = [seg(0, seconds, "speech_male")]
+        tracemalloc.start()
+        try:
+            analyze_call(audio, segments, model, shift_seconds=2.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # warm the layer caches
+    short, long = peak(60), peak(600)
+    # the stream's own float64 copy of its samples is the one thing that grows
+    assert long - short <= (600 - 60) * RATE * 8 + (1 << 20)
 
 
 # ---------------------------------------------------------------------------

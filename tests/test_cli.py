@@ -366,6 +366,41 @@ class TestAnalyzeCommand:
         assert "nope.csv" in err
 
 
+class TestOutputPathsCheckedFirst:
+    """An output path that cannot be created exits 2 before the checkpoint is loaded."""
+
+    def target(self, tmp_path, where):
+        if where == "missing directory":
+            return str(tmp_path / "nodir" / "out.txt")
+        blocker = tmp_path / "plain.txt"
+        blocker.write_text("a regular file\n")
+        return str(blocker / "out.txt")
+
+    @pytest.mark.parametrize("command, flag, where", [
+        ("analyze", "--out", "missing directory"),
+        ("analyze", "--windows-csv", "regular file"),
+        ("evaluate", "--out", "regular file"),
+        ("evaluate", "--confusion-csv", "missing directory"),
+    ])
+    def test_unwritable_output_exits_2(self, capsys, monkeypatch, tmp_path, cli_corpus,
+                                       command, flag, where):
+        def no_load(path):
+            pytest.fail("the checkpoint was loaded before the output path was checked")
+
+        monkeypatch.setattr("callseg.cli.load_checkpoint", no_load)
+        target = self.target(tmp_path, where)
+        if command == "analyze":
+            wav, segments = TestAnalyzeCommand().make_call_files(tmp_path)
+            inputs = ["--wav", wav, "--segments", segments]
+        else:
+            inputs = ["--corpus", cli_corpus["corpus"]]
+        code, stdout, err = run_cli(capsys, command, *inputs, "--model", cli_corpus["ckpt"],
+                                    flag, target)
+        assert code == 2
+        assert f"cannot write {target}" in err
+        assert len(stdout.splitlines()) == 1  # the config echo, no report
+
+
 class TestPrepareCommand:
     def test_end_to_end_with_rejections(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from callseg import layers
 from callseg.errors import ConfigError, LabelError, NumericError, ShapeError, StateError
 from callseg.layers import (
     Conv2d,
@@ -84,6 +85,25 @@ class TestConv2d:
         k = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
         npt.assert_allclose(conv_layer(k, b).forward(x), reference_conv2d(x, k, b), atol=1e-12)
+
+    # 4320 column bytes per row of this map: blocks of one row, of three rows, and the whole map
+    @pytest.mark.parametrize("budget", [1, 3 * 4320, 1 << 30])
+    def test_inference_row_blocks_match_training_columns(self, monkeypatch, budget):
+        monkeypatch.setattr(layers, "COLUMN_BYTES", budget)
+        rng = np.random.default_rng(3)
+        layer = Conv2d(3, 4, rng)
+        x = rng.standard_normal((3, 13, 40)).astype(np.float32)
+        g = rng.standard_normal((4, 13, 40)).astype(np.float32)
+        want = layer.forward(x, training=True)
+        want_dx = layer.backward(g)
+        want_grads = {name: grad.copy() for name, grad in layer.grads.items()}
+        for grad in layer.grads.values():
+            grad[...] = 0
+        assert np.array_equal(layer.forward(x), want)
+        # a backward after an inference forward rebuilds the same columns
+        assert np.array_equal(layer.backward(g), want_dx)
+        for name, grad in layer.grads.items():
+            assert np.array_equal(grad, want_grads[name])
 
     def test_channel_mismatch(self):
         layer = conv_layer(np.zeros((1, 3, 3, 3)), np.zeros(1))
