@@ -145,7 +145,7 @@ def _window_probs(model: CrnnModel, samples: np.ndarray, rate: int, window: int,
     lo, hi, left, right = strips or (0, width, frames, 0)
 
     def conv_front(piece):
-        x = model.normalize(log_mel_spectrogram(AudioBuffer(piece, rate)).values)[None]
+        x = model.normalize(log_mel_spectrogram(AudioBuffer(piece, rate)).values)[None, None]
         for layer in front:
             x = layer.forward(x)
         return x
@@ -159,15 +159,15 @@ def _window_probs(model: CrnnModel, samples: np.ndarray, rate: int, window: int,
             col = (i * shift - start) // (kw * HOP)
             # the tile's own ends are its first window's left and its last window's right end
             a, b = (0 if i == tile[0] else lo), (width if i == tile[-1] else hi)
-            parts = [shared[:, :, col + a : col + b]]
+            parts = [shared[..., col + a : col + b]]
             if a:
-                parts.insert(0, conv_front(piece[: left * HOP])[:, :, :lo])
+                parts.insert(0, conv_front(piece[: left * HOP])[..., :lo])
             if b < width:
-                parts.append(conv_front(piece[right * HOP :])[:, :, lo:])
-            x = np.concatenate(parts, axis=2)
+                parts.append(conv_front(piece[right * HOP :])[..., lo:])
+            x = np.concatenate(parts, axis=-1)
             for layer in back:
                 x = layer.forward(x)
-            probs[i] = softmax(x)
+            probs[i] = softmax(x)[0]
     return probs
 
 

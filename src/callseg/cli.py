@@ -9,6 +9,7 @@ line so a run can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -28,21 +29,48 @@ def _echo(command: str, payload: dict) -> None:
     print(json.dumps({"command": command, "effective_config": payload}, sort_keys=True))
 
 
-def _check_output_paths(*paths) -> None:
+def _blas_threads():
+    """The runtime thread count of the loaded OpenBLAS, or None if none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libraries = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for library in libraries:
+        try:
+            lib = ctypes.CDLL(library)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                if get_threads is not None:
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    return get_threads()
+    return None
+
+
+def _check_output_paths(*paths, directory=False) -> None:
     """OutputPathError unless every given path names a file its directory lets us create.
 
-    Commands call this before any work, so a typo fails fast; empty paths are skipped.
+    With ``directory`` the paths name directory trees: each must be a
+    directory already, or its nearest existing ancestor a writable one.
+    Commands call this before any work, so a typo fails fast; empty paths
+    are skipped.
     """
     for path in filter(None, paths):
-        parent = os.path.dirname(path) or "."
+        parent = path if directory else os.path.dirname(path) or "."
+        while directory and not os.path.exists(parent):  # a tree gets its missing levels made
+            parent = os.path.dirname(parent) or "."
         if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
             raise OutputPathError(f"cannot write {path}: {parent} is not a writable directory")
-        if os.path.isdir(path):
+        if not directory and os.path.isdir(path):
             raise OutputPathError(f"cannot write {path}: it is a directory")
 
 
 def _cmd_features(args) -> int:
     _echo("features", {"in": args.wav, "out": args.out, "rate": args.rate})
+    _check_output_paths(args.out)
     buffer = load_audio(args.wav, expected_rate=args.rate)
     spec = log_mel_spectrogram(buffer)
     save_features(args.out, spec.values)
@@ -96,6 +124,7 @@ def _print_manifest(manifest: CorpusManifest) -> None:
 def _cmd_synth(args) -> int:
     spec = SynthSpec.from_json_file(args.spec)
     _echo("synth", {"spec": spec.to_dict(), "seed": args.seed, "out": args.out})
+    _check_output_paths(args.out, directory=True)
     manifest = synth_corpus(spec, args.seed, args.out)
     _print_manifest(manifest)
     return 0
@@ -150,13 +179,15 @@ def _resolve_train_config(args):
 
 
 def _cmd_train(args) -> int:
+    history_path = args.history or args.out + ".history.csv"
+    _check_output_paths(args.out, history_path)
     model_config, train_config = _resolve_train_config(args)
-    _echo("train", {"corpus": args.corpus, "out": args.out,
+    # BLAS sums a batch inside its GEMMs, so the thread count is part of what a seed reproduces
+    _echo("train", {"corpus": args.corpus, "out": args.out, "blas_threads": _blas_threads(),
                     "model": model_config.to_dict(), "train": train_config.to_dict()})
     model = build_crnn(model_config, seed=train_config.seed)
     model, history = train(model, args.corpus, train_config)
     save_checkpoint(model, args.out)
-    history_path = args.history or args.out + ".history.csv"
     history.save_csv(history_path)
     print(
         f"trained {len(history)} epochs; best epoch {history.best_epoch} "

@@ -11,8 +11,12 @@ import numpy as np
 from .errors import PrecisionError, StateError
 
 
-def gradient_check(model, features, eps: float = 1e-4, label: int = 0) -> float:
+def gradient_check(model, features, eps: float = 1e-4, label=0) -> float:
     """Max over all parameters of the relative analytic/numeric disagreement.
+
+    ``features`` is one spectrogram with an int ``label``, or an (N, H, W)
+    batch with N labels; the loss is the batch's summed cross-entropy, whose
+    gradient a training forward and backward accumulate.
 
     relative error = |analytic - numeric| / max(|analytic|, |numeric|, 1e-8),
     numeric = (loss(p + eps) - loss(p - eps)) / (2 eps).
@@ -24,7 +28,7 @@ def gradient_check(model, features, eps: float = 1e-4, label: int = 0) -> float:
         raise StateError("gradient check requires dropout disabled (dropout_p == 0)")
 
     model.zero_grads()
-    model.forward(features, training=False)
+    model.forward(features, training=True)
     model.backward(label)
     analytic = [g.copy() for g in model.grad_arrays()]
 

@@ -1,16 +1,19 @@
 """Layers with hand-written forward and backward passes.
 
-Everything operates on single samples (no batch axis): convolution input is
-(C, H, W), recurrent input is (T, F). Batching is a loop plus gradient
-accumulation in the trainer, which keeps shapes exactly as the architecture
-diagrams read and makes runs bit-deterministic.
+Every layer has a leading batch axis: convolution maps are (N, C, H, W),
+recurrent sequences (N, T, F) and the head's features (N, F). The model
+runs a micro-batch of samples through each layer in one call and sums
+their parameter gradients.
 
 Layer protocol, here and in ``recurrent``: ``forward(x, training=False,
-rng=None)`` returns the output and caches what backward needs (only dropout
-reads ``training`` and ``rng``); ``backward(grad_out)`` maps the gradient
-at the latest output to the gradient at its input. A layer with parameters
-names them in ``param_names`` and accumulates into ``self.grads``, so a
-batch can sum gradients before the optimizer step.
+rng=None)`` returns the output; only dropout reads ``rng``. A training
+forward caches what backward needs, and ``backward(grad_out)`` maps the
+gradient at that output to the gradient at its input and drops the cache,
+so each training forward permits one backward. An inference forward
+caches nothing, and a backward after it raises StateError (the stateless
+ToSequence, and Dropout without a drawn mask, pass the gradient through).
+A layer with parameters names them in ``param_names`` and accumulates into
+``self.grads``, so a batch can sum gradients before the optimizer step.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ import numpy as np
 from .errors import ConfigError, LabelError, NumericError, ShapeError, StateError
 
 CE_FLOOR = 1e-12
-# Largest im2col block an inference-mode convolution builds at once. With it
-# the default model's inference forward took 52 ms against 60-66 ms for
-# whole-map columns (2 vCPU, BLAS at 1 thread), and its memory is bounded.
-COLUMN_BYTES = 8 << 20
+# Largest im2col block a convolution builds at once, so memory is bounded
+# for any map and batch. The default model's inference forward took 65 ms
+# with it, 69 ms at 8 MiB and 72 ms with whole-map columns (2 vCPU, BLAS at
+# 1 thread). Smaller blocks mean more GEMM calls: at 2 MiB that conv2 runs
+# 48, and with 2 BLAS threads on a busy CPU each call took about 24 ms.
+COLUMN_BYTES = 3 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -44,91 +49,31 @@ def orthogonal(n, rng, dtype):
 # ---------------------------------------------------------------------------
 # functional ops
 
-def _unfold3(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unfold a zero-padded (C, H+2, W+2) map into (C*9, H*W) 3x3 columns.
-
-    The columns are written into ``out`` when its shape and dtype fit, else
-    into a new array.
-    """
-    c, h, w = padded.shape[0], padded.shape[1] - 2, padded.shape[2] - 2
-    if out is None or out.shape != (c * 9, h * w) or out.dtype != padded.dtype:
-        out = np.empty((c * 9, h * w), dtype=padded.dtype)
-    view = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    np.copyto(out.reshape(c, 3, 3, h, w), view.transpose(0, 3, 4, 1, 2))
-    return out
-
-
-def _im2col3(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unfold (C, H, W) into (C*9, H*W) columns for 3x3 same convolution."""
-    return _unfold3(np.pad(x, ((0, 0), (1, 1), (1, 1))), out)
+def _unfold3(padded: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unfold a zero-padded (N, C, H+2, W+2) map into (N, C*9, H*W) 3x3 columns in ``out``."""
+    n, c, h, w = padded.shape[0], padded.shape[1], padded.shape[2] - 2, padded.shape[3] - 2
+    view = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
+    np.copyto(out.reshape(n, c, 3, 3, h, w), view.transpose(0, 1, 4, 5, 2, 3))
+    return out.reshape(n, c * 9, h * w)
 
 
 def _window_slices(x, kernel):
-    """The kh*kw strided slices of (C, H, W) ``x``, one per window position.
+    """The kh*kw strided slices of ``x`` (pooled over its last two axes), one per window position.
 
     Slice k = a*kw + b holds element (a, b) of every pooling window, so
-    ``slices[k][:, i, j]`` sits in output cell (i, j). In ceil mode a slice
-    whose position the partial edge windows lack is shorter than the output
-    by one row or column.
+    ``slices[k][..., i, j]`` sits in output cell (i, j). In ceil mode a
+    slice whose position the partial edge windows lack is shorter than
+    the output by one row or column.
     """
     kh, kw = kernel
     if kh < 1 or kw < 1:
         raise ConfigError(f"pool kernel must be >= 1, got {kernel}")
-    return [x[:, a::kh, b::kw] for a in range(kh) for b in range(kw)]
+    return [x[..., a::kh, b::kw] for a in range(kh) for b in range(kw)]
 
 
 def _edge(arr, part):
     """The leading block of ``arr`` that window slice ``part`` covers."""
-    return arr[:, : part.shape[1], : part.shape[2]]
-
-
-def _maxpool(x, kernel):
-    """Ceil-mode max pooling as a running np.maximum over the window slices.
-
-    Partial windows pool over their valid elements; no padding is built.
-    """
-    first, *rest = _window_slices(x, kernel)
-    out = first.copy()
-    for part in rest:
-        view = _edge(out, part)
-        # np.maximum returns its second operand on ties, so the earlier
-        # element wins and a tie of -0.0 and 0.0 keeps the first one's sign
-        np.maximum(part, view, out=view)
-    return out
-
-
-def _first_max_hits(x, out, kernel):
-    """Per window position k (row-major), the windows whose first max is at k.
-
-    ``out`` is ``_maxpool(x, kernel)``. Each mask has the shape of window
-    slice k, and every window is marked exactly once. A window whose max is
-    NaN is marked at its first NaN, as np.argmax does.
-    """
-    nan_windows = bool(np.isnan(out).any())
-    taken = np.zeros(out.shape, dtype=bool)
-    hits = []
-    for part in _window_slices(x, kernel):
-        hit = part == _edge(out, part)
-        if nan_windows:
-            hit |= np.isnan(part)
-        done = _edge(taken, part)
-        hit &= ~done
-        done |= hit
-        hits.append(hit)
-    return hits
-
-
-def _scatter(grad_out, hits, kernel, input_shape):
-    """Input gradient with each output gradient at the position ``hits`` marks.
-
-    ``hits[k]`` marks the windows routed to position k. The window slices
-    tile the input, so each is written once: grad where marked, else grad*0,
-    which is 0 for a finite gradient.
-    """
-    dx = np.empty(input_shape, dtype=grad_out.dtype)
-    for part, hit in zip(_window_slices(dx, kernel), hits):
-        np.multiply(_edge(grad_out, part), _edge(hit, part), out=part)
-    return dx
+    return arr[..., : part.shape[-2], : part.shape[-1]]
 
 
 def elu(x: np.ndarray) -> np.ndarray:
@@ -139,94 +84,140 @@ def elu(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over K >= 2 logits; non-finite logits raise NumericError."""
-    if logits.ndim != 1 or logits.shape[0] < 2:
+    """Max-subtracted softmax over the last axis of K >= 2 logits.
+
+    Non-finite logits raise NumericError.
+    """
+    if logits.ndim not in (1, 2) or logits.shape[-1] < 2:
         raise ConfigError(f"softmax head needs K >= 2 output nodes, got {logits.shape}")
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in softmax head")
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Negative log-likelihood of the true class, floored at 1e-12."""
-    label = int(label)
-    if not 0 <= label < probs.shape[0]:
-        raise LabelError(f"label {label} out of range for {probs.shape[0]} classes")
-    return float(-np.log(max(float(probs[label]), CE_FLOOR)))
+def label_array(labels, n_samples: int, n_classes: int) -> np.ndarray:
+    """One class index per sample as an (N,) array: an int for a batch of one, or N of them."""
+    labels = np.asarray(labels).reshape(-1)
+    if labels.shape != (n_samples,):
+        raise ShapeError(f"{labels.size} labels for {n_samples} samples")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise LabelError(f"label out of range for {n_classes} classes: {labels}")
+    return labels.astype(np.intp)
+
+
+def cross_entropy(probs: np.ndarray, labels):
+    """Negative log-likelihood of the true class, floored at 1e-12.
+
+    A float for one (K,) sample and its int label, an (N,) array for
+    (N, K) probabilities and N labels.
+    """
+    batch = np.atleast_2d(probs)
+    rows = label_array(labels, *batch.shape)
+    losses = -np.log(np.maximum(batch[np.arange(rows.size), rows].astype(np.float64), CE_FLOOR))
+    return float(losses[0]) if probs.ndim == 1 else losses
 
 
 # ---------------------------------------------------------------------------
 # layer classes
+
+class Workspace:
+    """A growable buffer for layers that never run at the same time to share."""
+
+    def __init__(self):
+        self._array = np.empty(0)
+
+    def take(self, size, dtype):
+        """A 1-D view of ``size`` elements of ``dtype``; its values are undefined."""
+        if self._array.size < size or self._array.dtype != dtype:
+            self._array = np.empty(size, dtype=dtype)
+        return self._array[:size]
+
 
 class Conv2d:
     """3x3 same convolution, Glorot-uniform kernels, zero bias.
 
     With ``input_grad=False`` backward computes only the parameter gradients
     and returns None; the model builds its first conv that way, because
-    nothing reads the gradient of the spectrogram.
+    nothing reads the gradient of the spectrogram. The model's convs share
+    one ``workspace`` buffer for their columns.
 
-    A training forward keeps its whole column matrix for backward. An
-    inference forward runs the GEMM over blocks of output rows, each under
-    COLUMN_BYTES of columns, so memory stays bounded for any map width; a
-    backward after it rebuilds the columns from the cached input. Every
-    output column is one kernel-matrix product with its own input column,
-    so both forwards give the same values.
+    Forward and backward build im2col columns in row blocks under
+    COLUMN_BYTES (see ``_row_blocks``), so memory stays bounded for any map
+    width and batch size. A training forward caches only its input, and
+    backward rebuilds the columns from it.
     """
 
     param_names = ("kernels", "bias")
 
-    def __init__(self, in_channels, out_channels, rng, dtype=np.float32, input_grad=True):
+    def __init__(self, in_channels, out_channels, rng, dtype=np.float32, input_grad=True,
+                 workspace=None):
         fan = 9 * in_channels, 9 * out_channels
         self.kernels = glorot_uniform((out_channels, in_channels, 3, 3), *fan, rng, dtype)
         self.bias = np.zeros(out_channels, dtype=dtype)
         self.grads = {n: np.zeros_like(getattr(self, n)) for n in self.param_names}
         self.input_grad = input_grad
+        self.workspace = Workspace() if workspace is None else workspace
         self._cache = None
-        self._cols = None
 
     def forward(self, x, training=False, rng=None):
-        if x.ndim != 3 or x.shape[0] != self.kernels.shape[1]:
+        if x.ndim != 4 or x.shape[1] != self.kernels.shape[1]:
             raise ShapeError(f"input {x.shape} does not match kernels {self.kernels.shape}")
-        c_in, h, w = x.shape
-        c_out = self.kernels.shape[0]
-        weights = self.kernels.reshape(c_out, -1)
-        # Each forward rebuilds its columns in the previous forward's buffer:
-        # a fresh array per call costs more in page faults than the copy into it.
-        if training:
-            self._cols = cols = _im2col3(x, self._cols)
-            out = weights @ cols
-        else:
-            cols = None
-            out = np.empty((c_out, h * w), dtype=np.result_type(weights, x))
-            rows = max(1, COLUMN_BYTES // (9 * c_in * w * x.itemsize))
-            for top in range(0, h, rows):
-                bottom = min(top + rows, h)
-                part = np.pad(x[:, max(top - 1, 0) : bottom + 1],
-                              ((0, 0), (int(top == 0), int(bottom == h)), (1, 1)))
-                self._cols = _unfold3(part, self._cols)
-                np.matmul(weights, self._cols, out=out[:, top * w : bottom * w])
-        out += self.bias[:, None]
-        self._cache = (x, cols)
-        return out.reshape(c_out, h, w)
+        self._cache = x if training else None
+        out = self._conv3(x, self.kernels)
+        out += self.bias[:, None, None]
+        return out
 
     def backward(self, grad_out):
         if self._cache is None:
-            raise StateError("conv backward called before forward")
-        x, cols = self._cache
-        if cols is None:
-            cols = _im2col3(x)
-        c_out = self.kernels.shape[0]
-        g = grad_out.reshape(c_out, -1)
-        self.grads["kernels"] += (g @ cols.T).reshape(self.kernels.shape)
-        self.grads["bias"] += g.sum(axis=1)
+            raise StateError("conv backward needs a training forward")
+        x, self._cache = self._cache, None
+        n, c_out, h, w = grad_out.shape
+        g = grad_out.reshape(n, c_out, h * w)
+        dk = self.grads["kernels"].reshape(c_out, -1)
+        for top, bottom, cols in self._row_blocks(x):
+            dk += np.matmul(g[:, :, top * w : bottom * w], cols.transpose(0, 2, 1)).sum(axis=0)
+        self.grads["bias"] += g.sum(axis=(0, 2))
         if not self.input_grad:
             return None
         # input gradient = same-conv of grad_out with channel-swapped, flipped kernels
-        flipped = self.kernels.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        dx = flipped.reshape(x.shape[0], -1) @ _im2col3(grad_out)
-        return dx.reshape(x.shape)
+        return self._conv3(grad_out, self.kernels.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+
+    def _row_blocks(self, x):
+        """(top, bottom, columns) over blocks of rows of an (N, C, H, W) map.
+
+        ``columns`` are the (N, C*9, rows*W) 3x3 same-convolution columns
+        of output rows top..bottom, at most COLUMN_BYTES of them (one row
+        at least), each written into the ``workspace`` buffer: a fresh array
+        per call costs more in page faults than the copy into it.
+        """
+        n, c, h, w = x.shape
+        rows = min(h, max(1, COLUMN_BYTES // (9 * c * w * n * x.itemsize)))
+        buffer = self.workspace.take(n * c * 9 * rows * w, x.dtype)
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        for top in range(0, h, rows):
+            bottom = min(top + rows, h)
+            cols = buffer[: n * c * 9 * (bottom - top) * w]
+            yield top, bottom, _unfold3(padded[:, :, top : bottom + 2], cols)
+
+    def _conv3(self, x, kernels):
+        """3x3 same convolution of (N, C, H, W) ``x`` with (C_out, C, 3, 3) kernels, no bias.
+
+        Each row block is one batched GEMM, a product per sample written
+        straight into the output; one GEMM over all samples measured
+        slower, for the copies that put its result in sample order. Every
+        output column is the kernel matrix times its own input column, so
+        where BLAS computes each column alone the values do not depend on
+        the block size or N (tests/test_analyze.py checks this bit for bit
+        for the model's shapes).
+        """
+        n, _, h, w = x.shape
+        weights = kernels.reshape(kernels.shape[0], -1)
+        out = np.empty((n, len(weights), h * w), dtype=np.result_type(weights, x))
+        for top, bottom, cols in self._row_blocks(x):
+            np.matmul(weights, cols, out=out[:, :, top * w : bottom * w])
+        return out.reshape(n, -1, h, w)
 
 
 class Activation:
@@ -235,7 +226,9 @@ class Activation:
     All three are monotone non-decreasing, so max-pooling commutes with them
     and the model applies them after the pool, on fewer elements, with the
     same forward values. Gradients then route by the pre-activation argmax;
-    the model docstring gives the one case where that differs.
+    the model docstring gives the one case where that differs. Backward
+    reads only the output: y > 0 exactly where x > 0, and ELU's slope is
+    y + 1 elsewhere.
     """
 
     def __init__(self, kind: str = "elu"):
@@ -251,25 +244,27 @@ class Activation:
             y = np.maximum(x, 0)
         else:
             y = x
-        self._cache = (x, y)
+        self._cache = y if training else None
         return y
 
     def backward(self, grad_out):
         if self._cache is None:
-            raise StateError("activation backward called before forward")
-        x, y = self._cache
+            raise StateError("activation backward needs a training forward")
+        y, self._cache = self._cache, None
         if self.kind == "elu":
-            return grad_out * np.where(x > 0, 1.0, y + 1.0).astype(x.dtype)
+            return grad_out * np.where(y > 0, 1.0, y + 1.0).astype(y.dtype)
         if self.kind == "relu":
-            return grad_out * (x > 0)
+            return grad_out * (y > 0)
         return grad_out
 
 
 class MaxPool2d:
-    """Ceil-mode max pool; forward computes no argmax.
+    """Ceil-mode max pool over the last two axes, as a running np.maximum over the window slices.
 
-    Forward keeps its input and output, and backward recovers the
-    row-major first-occurrence argmax from them.
+    Partial windows pool over their valid elements; no padding is built.
+    A training forward also records, per output cell, the row-major
+    position of its window's first max (its first NaN, as np.argmax has
+    it), and backward routes each gradient there.
     """
 
     def __init__(self, kernel: tuple[int, int]):
@@ -277,15 +272,36 @@ class MaxPool2d:
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
-        out = _maxpool(x, self.kernel)
-        self._cache = (x, out)
+        first, *rest = _window_slices(x, self.kernel)
+        out = first.copy()
+        first_max = np.zeros(out.shape, np.min_scalar_type(len(rest))) if training else None
+        for k, part in enumerate(rest, 1):
+            view = _edge(out, part)
+            if training:
+                # a later element takes over only when strictly greater, or when it is
+                # the window's first NaN: not (part <= view), unless view is NaN already
+                hit = ~(part <= view)
+                hit &= view == view
+                # k exceeds every earlier position, so a max sets the index to k where hit
+                index = _edge(first_max, part)
+                np.maximum(index, hit * first_max.dtype.type(k), out=index)
+            # np.maximum returns its second operand on ties, so the earlier
+            # element wins and a tie of -0.0 and 0.0 keeps the first one's sign
+            np.maximum(part, view, out=view)
+        self._cache = (first_max, x.shape) if training else None
         return out
 
     def backward(self, grad_out):
         if self._cache is None:
-            raise StateError("pool backward called before forward")
-        x, out = self._cache
-        return _scatter(grad_out, _first_max_hits(x, out, self.kernel), self.kernel, x.shape)
+            raise StateError("pool backward needs a training forward")
+        (first_max, shape), self._cache = self._cache, None
+        # the window slices tile the input, so each is written once: grad
+        # where its position holds the first max, else grad*0, which is 0
+        # for a finite gradient
+        dx = np.empty(shape, dtype=grad_out.dtype)
+        for k, part in enumerate(_window_slices(dx, self.kernel)):
+            np.multiply(_edge(grad_out, part), _edge(first_max, part) == k, out=part)
+        return dx
 
 
 class Dropout:
@@ -303,43 +319,47 @@ class Dropout:
             return x
         if rng is None:
             raise StateError("training-mode dropout needs a seeded generator")
-        self._mask = (rng.random(x.shape) >= self.p).astype(x.dtype)
+        self._mask = rng.random(x.shape, dtype=np.float32) >= self.p
         return x * self._mask / (1.0 - self.p)
 
     def backward(self, grad_out):
         if self._mask is None:
             return grad_out
-        return grad_out * self._mask / (1.0 - self.p)
+        mask, self._mask = self._mask, None
+        return grad_out * mask / (1.0 - self.p)
 
 
 class ToSequence:
-    """The (C, 1, T) map of the last conv block read as a (T, C) sequence."""
+    """The (N, C, 1, T) map of the last conv block read as (N, T, C) sequences."""
 
     def forward(self, x, training=False, rng=None):
-        return x[:, 0, :].T
+        return x[:, :, 0, :].transpose(0, 2, 1)
 
     def backward(self, grad_out):
-        return np.ascontiguousarray(grad_out.T)[:, None, :]
+        return np.ascontiguousarray(grad_out.transpose(0, 2, 1))[:, :, None, :]
 
 
 class LastStep:
-    """The last row of a (T, H) sequence; backward gives the other rows zero gradient."""
+    """The last step of (N, T, H) sequences; backward gives the other steps zero gradient."""
 
     def __init__(self):
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
-        self._cache = x
-        return x[-1]
+        self._cache = (x.shape, x.dtype) if training else None
+        return x[:, -1]
 
     def backward(self, grad_out):
-        grad = np.zeros_like(self._cache)
-        grad[-1] = grad_out
+        if self._cache is None:
+            raise StateError("last-step backward needs a training forward")
+        (shape, dtype), self._cache = self._cache, None
+        grad = np.zeros(shape, dtype=dtype)
+        grad[:, -1] = grad_out
         return grad
 
 
 class Dense:
-    """Affine map of an (F,) vector to K outputs; the model's head returns logits."""
+    """Affine map of (N, F) features to K outputs; the model's head returns logits."""
 
     param_names = ("weights", "bias")
 
@@ -350,13 +370,14 @@ class Dense:
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
-        self._cache = x
+        self._cache = x if training else None
         with np.errstate(invalid="ignore", over="ignore"):  # softmax checks finiteness
             return x @ self.weights + self.bias
 
     def backward(self, grad_out):
         if self._cache is None:
-            raise StateError("dense backward called before forward")
-        self.grads["weights"] += np.outer(self._cache, grad_out)
-        self.grads["bias"] += grad_out
+            raise StateError("dense backward needs a training forward")
+        x, self._cache = self._cache, None
+        self.grads["weights"] += x.T @ grad_out
+        self.grads["bias"] += grad_out.sum(axis=0)
         return grad_out @ self.weights.T

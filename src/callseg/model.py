@@ -21,7 +21,9 @@ layers as 42 time steps of 32 features.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -36,8 +38,10 @@ from .layers import (
     Dropout,
     LastStep,
     MaxPool2d,
+    Workspace,
     ToSequence,
     cross_entropy,
+    label_array,
     softmax,
 )
 from .recurrent import GRULayer, LSTMLayer
@@ -134,9 +138,11 @@ class CrnnModel:
         channels_in = 1
         self.blocks = []
         self.layers = []
+        workspace = Workspace()  # the convs run one at a time, so they share one column buffer
         for i, (filters, kernel) in enumerate(zip(config.conv_filters, config.pool_kernels)):
             # nothing reads the gradient with respect to the spectrogram
-            conv = Conv2d(channels_in, filters, rng, dtype=self.dtype, input_grad=i > 0)
+            conv = Conv2d(channels_in, filters, rng, dtype=self.dtype, input_grad=i > 0,
+                          workspace=workspace)
             act, pool = Activation(config.conv_activation), MaxPool2d(kernel)
             drop = Dropout(config.dropout_p)
             self.blocks.append((conv, act, pool, drop))
@@ -197,12 +203,13 @@ class CrnnModel:
     # -- forward / backward --------------------------------------------------
 
     def _prepare_input(self, features):
+        """An (H, W) spectrogram or an (N, H, W) batch as an (N, 1, H, W) normalized batch."""
         values = np.asarray(features)
-        if values.shape != self.config.input_shape:
+        if values.ndim not in (2, 3) or values.shape[-2:] != self.config.input_shape:
             raise ShapeError(
                 f"features shape {values.shape} does not match model input {self.config.input_shape}"
             )
-        return self.normalize(values)
+        return self.normalize(values.reshape(-1, 1, *self.config.input_shape))
 
     def normalize(self, values):
         """Spectrogram values of any width in the model's dtype, normalized as in training."""
@@ -212,41 +219,64 @@ class CrnnModel:
             x = (x - self.dtype.type(mean)) / self.dtype.type(std)
         return x
 
+    def cache_bytes(self) -> int:
+        """Bytes the conv blocks of a training forward cache per sample.
+
+        Each block caches its conv input, and per pooled element the
+        activation output, a one-byte first-max index and a one-byte
+        dropout mask. The recurrent caches are a few percent of that.
+        """
+        item = self.dtype.itemsize
+        (freq, time), channels, total = self.config.input_shape, 1, 0
+        for filters, (kh, kw) in zip(self.config.conv_filters, self.config.pool_kernels):
+            total += channels * freq * time * item
+            freq, time, channels = _ceil_div(freq, kh), _ceil_div(time, kw), filters
+            total += channels * freq * time * (item + 2)
+        return total
+
     def forward(self, features, training: bool = False, rng: np.random.Generator | None = None):
-        """Class probabilities for one spectrogram; dropout only when training."""
+        """Class probabilities, (K,) for one (H, W) spectrogram or (N, K) for an (N, H, W) batch.
+
+        Dropout runs and the layers cache for backward only when training.
+        """
         self._probs = None
-        x = self._prepare_input(features)[None]
+        x = self._prepare_input(features)
         for layer in self.layers:
             x = layer.forward(x, training, rng)
-        self._probs = softmax(x)
-        return self._probs
+        probs = softmax(x)
+        if training:
+            self._probs = probs
+        return probs[0] if np.ndim(features) == 2 else probs
 
     def conv_stack_output(self, features):
-        """The (channels, time) map the recurrent layers see, dropout off."""
-        x = self._prepare_input(features)[None]
+        """The (channels, time) map the recurrent layers see for one spectrogram, dropout off."""
+        x = self._prepare_input(features)
         for layer in self.layers[: self.layers.index(self.rnn1)]:
             x = layer.forward(x)
-        return x.T
+        return x[0].T
 
-    def backward(self, label: int):
-        """Accumulate gradients of the cross-entropy loss at ``label``.
+    def backward(self, labels):
+        """Accumulate the gradients of the cross-entropy losses summed over the batch.
 
-        Must follow a forward pass; each forward permits one backward.
-        Returns the ordered gradient list (aliasing the layers' .grads).
+        ``labels`` holds one class per sample of the latest forward, which
+        must have been a training forward; each permits one backward. An
+        int is the label of a batch of one. Returns the ordered gradient
+        list (aliasing the layers' .grads).
         """
         if self._probs is None:
-            raise StateError("backward called without a completed forward pass")
+            raise StateError("backward needs a completed training forward")
         # softmax + cross-entropy: the loss gradient at the logits is probs - onehot
         g = self._probs.astype(self.dtype)
         self._probs = None
-        g[int(label)] -= 1.0
+        g[np.arange(len(g)), label_array(labels, *g.shape)] -= 1.0
         for layer in reversed(self.layers):
             g = layer.backward(g)
         return self.grad_arrays()
 
-    def loss(self, features, label: int, training: bool = False, rng=None) -> float:
-        """Cross-entropy of one sample (forward only)."""
-        return cross_entropy(self.forward(features, training=training, rng=rng), label)
+    def loss(self, features, labels, training: bool = False, rng=None) -> float:
+        """Cross-entropy summed over a batch (forward only); one sample's for an (H, W) input."""
+        probs = self.forward(features, training=training, rng=rng)
+        return float(np.sum(cross_entropy(probs, labels)))
 
 
 def build_crnn(config: ModelConfig, seed: int, dtype=np.float32) -> CrnnModel:
@@ -272,12 +302,21 @@ def save_checkpoint(model: CrnnModel, path: str) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes() for _n, arr in named)
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob)))
+    # written under a temporary name in the target directory and renamed over
+    # the target when complete, so a failed save leaves the old file as it was
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            fh.write(blob)
+            fh.write(struct.pack("<I", zlib.crc32(blob)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str, dtype=np.float32) -> CrnnModel:

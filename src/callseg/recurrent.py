@@ -18,10 +18,13 @@ with gates z, r, c (GRU) or i, f, g, o (LSTM). The per-gate names in
 through either name reaches the same memory. Each gate is drawn in
 ``param_names`` order: Glorot-uniform ``w``, orthogonal ``u``, zero ``b``.
 
-Forward computes ``xs @ w + b`` for all T steps before the time loop;
-backward's loop yields only the gate pre-activation gradients, and the
-weight, bias and input gradients are products over all steps after it.
-Sequences are (T, F) rows; hidden output is (T, H); the state starts at zero.
+Sequences are (N, T, F), hidden output is (N, T, H), and every state
+starts at zero. Inside, the layer runs time-major: (T, N, ...) with the
+G gates side by side, so each step's rows are contiguous. Forward computes
+``xs @ w + b`` for all T steps and N samples in one GEMM before the time
+loop, so each step multiplies only the (N, H) states by ``u``; backward's loop
+yields only the gate pre-activation gradients, and the weight, bias and
+input gradients are products over all steps and samples after it.
 """
 
 from __future__ import annotations
@@ -42,10 +45,15 @@ def _sigmoid(x):
 
 
 def _previous(states):
-    """The (T, H) states before each step: zero, then ``states[:-1]``."""
+    """The (T, N, H) states before each step: zero, then ``states[:-1]``."""
     prev = np.zeros_like(states)
     prev[1:] = states[:-1]
     return prev
+
+
+def _side_by_side(a):
+    """(G, I, H) gate-major weights as one (I, G*H) matrix, gate g in columns g*H..(g+1)*H."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
 class _Recurrent:
@@ -72,21 +80,35 @@ class _Recurrent:
             self.grads[name] = getattr(self, "d" + kind)[gate]
         self._cache = None
 
-    def _sequence(self, xs):
+    def _project(self, xs):
+        """Time-major (T*N, F) inputs and their (T, N, G, H) gate pre-activations ``x w + b``."""
         xs = np.asarray(xs)
-        if xs.ndim != 2 or xs.shape[1] != self.in_features:
-            raise ShapeError(f"expected (T, {self.in_features}) inputs, got {xs.shape}")
-        return xs
+        if xs.ndim != 3 or xs.shape[2] != self.in_features:
+            raise ShapeError(f"expected (N, T, {self.in_features}) inputs, got {xs.shape}")
+        n, steps = xs.shape[:2]
+        rows = xs.transpose(1, 0, 2).reshape(steps * n, self.in_features)
+        gates = rows @ _side_by_side(self.w) + self.b.reshape(-1)
+        return rows, gates.reshape(steps, n, *self.b.shape)
 
-    def _gradients(self, xs, states, da):
-        """Accumulate dw, du, db from the (G, T, H) pre-activation gradients ``da``.
+    def _cached(self):
+        if self._cache is None:
+            raise StateError(f"{type(self).__name__} backward needs a training forward")
+        cache, self._cache = self._cache, None
+        return cache
 
-        ``states`` is what each ``u`` multiplied, (T, H) or (G, T, H); returns dxs.
+    def _gradients(self, rows, states, da):
+        """Accumulate dw, du, db from the (T, N, G, H) pre-activation gradients ``da``.
+
+        ``rows`` are the (T*N, F) inputs and ``states`` what each ``u``
+        multiplied, (T*N, H) or (G, T*N, H); returns the (N, T, F) dxs.
         """
-        self.dw += xs.T @ da
-        self.du += np.swapaxes(states, -1, -2) @ da
-        self.db += da.sum(axis=1)
-        return (da @ np.swapaxes(self.w, 1, 2)).sum(axis=0)
+        steps, n, gates, hidden = da.shape
+        flat = da.reshape(steps * n, gates * hidden)
+        self.dw += (rows.T @ flat).reshape(-1, gates, hidden).transpose(1, 0, 2)
+        self.du += np.swapaxes(states, -1, -2) @ flat.reshape(-1, gates, hidden).transpose(1, 0, 2)
+        self.db += flat.sum(axis=0).reshape(gates, hidden)
+        dxs = flat @ _side_by_side(self.w).T
+        return dxs.reshape(steps, n, self.in_features).transpose(1, 0, 2)
 
 
 class GRULayer(_Recurrent):
@@ -95,35 +117,41 @@ class GRULayer(_Recurrent):
     param_names = tuple(kind + gate for kind in "wub" for gate in "zrc")
 
     def forward(self, xs: np.ndarray, training=False, rng=None) -> np.ndarray:
-        """Run the recurrence over (T, F) inputs; returns all T hidden states."""
-        xs = self._sequence(xs)
-        gates = xs @ self.w + self.b[:, None]  # pre-activations, overwritten by z, r, c
-        h = np.zeros(self.hidden, dtype=self.w.dtype)
-        hs = np.empty((xs.shape[0], self.hidden), dtype=self.w.dtype)
-        for t in range(xs.shape[0]):
-            z, r = gates[:2, t] = _sigmoid(gates[:2, t] + h @ self.u[:2])
-            c = gates[2, t] = np.tanh(gates[2, t] + (r * h) @ self.u[2])
+        """Run the recurrence over (N, T, F) inputs; returns all (N, T, H) hidden states."""
+        rows, gates = self._project(xs)  # pre-activations, overwritten by z, r, c
+        steps, n = gates.shape[:2]
+        u_zr = _side_by_side(self.u[:2])
+        h = np.zeros((n, self.hidden), dtype=self.w.dtype)
+        hs = np.empty((steps, n, self.hidden), dtype=self.w.dtype)
+        for t in range(steps):
+            a = gates[t]
+            zr = a[:, :2] = _sigmoid(a[:, :2] + (h @ u_zr).reshape(n, 2, -1))
+            z, r = zr[:, 0], zr[:, 1]
+            c = a[:, 2] = np.tanh(a[:, 2] + (r * h) @ self.u[2])
             h = hs[t] = (1.0 - z) * h + z * c
-        self._cache = xs, hs, gates
-        return hs
+        self._cache = (rows, hs, gates) if training else None
+        return hs.transpose(1, 0, 2)
 
     def backward(self, grad_hs: np.ndarray) -> np.ndarray:
-        """BPTT given a gradient for every hidden state; returns input gradients."""
-        if self._cache is None:
-            raise StateError("GRU backward called before forward")
-        xs, hs, gates = self._cache
+        """BPTT given a gradient for every (N, T, H) hidden state; returns input gradients."""
+        rows, hs, gates = self._cached()
         h_prev = _previous(hs)
+        grad_hs = grad_hs.transpose(1, 0, 2)
+        steps, n = gates.shape[:2]
+        u_zr_t = self.u[:2].transpose(0, 2, 1).reshape(-1, self.hidden)
         da = np.empty_like(gates)
-        dh = np.zeros(self.hidden, dtype=self.w.dtype)
-        for t in range(xs.shape[0] - 1, -1, -1):
-            z, r, c = gates[:, t]
+        dh = np.zeros((n, self.hidden), dtype=self.w.dtype)
+        for t in range(steps - 1, -1, -1):
+            z, r, c = gates[t].transpose(1, 0, 2)
             dh = dh + grad_hs[t]
-            dac = da[2, t] = dh * z * (1.0 - c * c)
+            dac = da[t, :, 2] = dh * z * (1.0 - c * c)
             drh = dac @ self.u[2].T
-            da[0, t] = dh * (c - h_prev[t]) * z * (1.0 - z)
-            da[1, t] = drh * h_prev[t] * r * (1.0 - r)
-            dh = dh * (1.0 - z) + drh * r + np.einsum("gj,gij->i", da[:2, t], self.u[:2])
-        return self._gradients(xs, np.stack((h_prev, h_prev, gates[1] * h_prev)), da)
+            da[t, :, 0] = dh * (c - h_prev[t]) * z * (1.0 - z)
+            da[t, :, 1] = drh * h_prev[t] * r * (1.0 - r)
+            dh = dh * (1.0 - z) + drh * r + da[t, :, :2].reshape(n, -1) @ u_zr_t
+        prev = h_prev.reshape(steps * n, self.hidden)
+        states = np.stack((prev, prev, gates[:, :, 1].reshape(steps * n, self.hidden) * prev))
+        return self._gradients(rows, states, da)
 
 
 class LSTMLayer(_Recurrent):
@@ -132,39 +160,44 @@ class LSTMLayer(_Recurrent):
     param_names = tuple(kind + gate for kind in "wub" for gate in "ifgo")
 
     def forward(self, xs, training=False, rng=None):
-        xs = self._sequence(xs)
-        gates = xs @ self.w + self.b[:, None]  # pre-activations, overwritten by i, f, g, o
-        h = np.zeros(self.hidden, dtype=self.w.dtype)
-        c = np.zeros(self.hidden, dtype=self.w.dtype)
-        hs = np.empty((xs.shape[0], self.hidden), dtype=self.w.dtype)
+        rows, gates = self._project(xs)  # pre-activations, overwritten by i, f, g, o
+        steps, n = gates.shape[:2]
+        u_all = _side_by_side(self.u)
+        h = np.zeros((n, self.hidden), dtype=self.w.dtype)
+        c = np.zeros((n, self.hidden), dtype=self.w.dtype)
+        hs = np.empty((steps, n, self.hidden), dtype=self.w.dtype)
         cs, tanh_cs = np.empty_like(hs), np.empty_like(hs)
-        for t in range(xs.shape[0]):
-            a = gates[:, t] + h @ self.u
-            i, f, g, o = gates[:, t] = _sigmoid(a)
-            g = gates[2, t] = np.tanh(a[2])
+        for t in range(steps):
+            a = gates[t]
+            a += (h @ u_all).reshape(n, 4, -1)
+            g = np.tanh(a[:, 2])
+            a[...] = _sigmoid(a)
+            a[:, 2] = g
+            i, f, _g, o = a.transpose(1, 0, 2)
             c = cs[t] = f * c + i * g
             tanh_cs[t] = np.tanh(c)
             h = hs[t] = o * tanh_cs[t]
-        self._cache = xs, hs, cs, tanh_cs, gates
-        return hs
+        self._cache = (rows, hs, cs, tanh_cs, gates) if training else None
+        return hs.transpose(1, 0, 2)
 
     def backward(self, grad_hs):
-        if self._cache is None:
-            raise StateError("LSTM backward called before forward")
-        xs, hs, cs, tanh_cs, gates = self._cache
+        rows, hs, cs, tanh_cs, gates = self._cached()
         c_prev = _previous(cs)
+        grad_hs = grad_hs.transpose(1, 0, 2)
+        steps, n = gates.shape[:2]
+        u_t = self.u.transpose(0, 2, 1).reshape(-1, self.hidden)
         da = np.empty_like(gates)
-        dh = np.zeros(self.hidden, dtype=self.w.dtype)
-        dc = np.zeros(self.hidden, dtype=self.w.dtype)
-        for t in range(xs.shape[0] - 1, -1, -1):
-            i, f, g, o = gates[:, t]
+        dh = np.zeros((n, self.hidden), dtype=self.w.dtype)
+        dc = np.zeros((n, self.hidden), dtype=self.w.dtype)
+        for t in range(steps - 1, -1, -1):
+            i, f, g, o = gates[t].transpose(1, 0, 2)
             tc = tanh_cs[t]
             dh = dh + grad_hs[t]
             dc = dc + dh * o * (1.0 - tc * tc)
-            da[0, t] = dc * g * i * (1.0 - i)
-            da[1, t] = dc * c_prev[t] * f * (1.0 - f)
-            da[2, t] = dc * i * (1.0 - g * g)
-            da[3, t] = dh * tc * o * (1.0 - o)
-            dh = np.einsum("gj,gij->i", da[:, t], self.u)
+            da[t, :, 0] = dc * g * i * (1.0 - i)
+            da[t, :, 1] = dc * c_prev[t] * f * (1.0 - f)
+            da[t, :, 2] = dc * i * (1.0 - g * g)
+            da[t, :, 3] = dh * tc * o * (1.0 - o)
+            dh = da[t].reshape(n, -1) @ u_t
             dc = dc * f
-        return self._gradients(xs, _previous(hs), da)
+        return self._gradients(rows, _previous(hs).reshape(steps * n, self.hidden), da)

@@ -16,12 +16,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dbas import GENDERS, ROLES, class_label_of
-from .errors import ConfigError, DataError, DivergenceError, JsonConfig, LayoutError, NumericError
+from .errors import (
+    ConfigError, DataError, DivergenceError, JsonConfig, LayoutError, NumericError, ShapeError,
+)
 from .features import load_features
 from .layers import cross_entropy
 from .metrics import confusion
 from .model import CrnnModel
 from .optim import AdamState, adam_step
+
+# Budget for the training caches of one forward/backward pass (see
+# CrnnModel.cache_bytes), which sets how many samples of a mini-batch run
+# through the layers together: 4 for the reduced 8-filter 96x250 model,
+# 1 for the default 64-filter 96x1000 one. On the reduced model 6 samples
+# trained 10% faster than 4, but peak RSS grew 6.5% instead of 2.7%.
+BATCH_BYTES = 5 << 19
 
 
 @dataclass
@@ -115,7 +124,7 @@ class TrainHistory:
 
 
 def _labels_for(items, n_classes):
-    return [it.label2 if n_classes == 2 else it.label4 for it in items]
+    return np.array([it.label2 if n_classes == 2 else it.label4 for it in items], dtype=np.intp)
 
 
 def _normalization_stats(items) -> tuple[float, float]:
@@ -130,14 +139,33 @@ def _normalization_stats(items) -> tuple[float, float]:
     return mean, max(np.sqrt(var), 1e-8)
 
 
+def micro_batch_size(model: CrnnModel) -> int:
+    """Samples per forward/backward pass: as many as fit BATCH_BYTES of training caches."""
+    return max(1, BATCH_BYTES // model.cache_bytes())
+
+
+def _stack_features(model, items):
+    """The feature files of ``items`` as one (N, H, W) batch; another shape raises ShapeError."""
+    batch = np.empty((len(items), *model.config.input_shape), dtype=np.float32)
+    for row, item in zip(batch, items):
+        values = load_features(item.path)
+        if values.shape != row.shape:
+            raise ShapeError(f"{item.path}: features shape {values.shape} does not match "
+                             f"model input {row.shape}")
+        row[...] = values
+    return batch
+
+
 def _eval_items(model, items, labels):
+    step = micro_batch_size(model)
     losses, preds = [], []
-    for item, label in zip(items, labels):
-        probs = model.forward(load_features(item.path), training=False)
-        losses.append(cross_entropy(probs, label))
-        preds.append(int(np.argmax(probs)))
+    for start in range(0, len(items), step):
+        probs = model.forward(_stack_features(model, items[start : start + step]))
+        losses.append(cross_entropy(probs, labels[start : start + step]))
+        preds.append(np.argmax(probs, axis=1))
+    preds = np.concatenate(preds)
     cm = confusion(preds, labels, model.config.n_classes)
-    return float(np.mean(losses)), float(np.mean(np.array(preds) == np.array(labels))), cm
+    return float(np.mean(np.concatenate(losses))), float(np.mean(preds == labels)), cm
 
 
 def train(model: CrnnModel, corpus_root: str, config: TrainConfig):
@@ -166,6 +194,7 @@ def train(model: CrnnModel, corpus_root: str, config: TrainConfig):
     history = TrainHistory()
     best_acc, best_params, since_improve = -1.0, None, 0
 
+    step = micro_batch_size(model)
     for epoch in range(1, config.max_epochs + 1):
         order = np.arange(len(train_items))
         np.random.default_rng(config.seed + epoch).shuffle(order)
@@ -174,23 +203,24 @@ def train(model: CrnnModel, corpus_root: str, config: TrainConfig):
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             model.zero_grads()
-            for idx in batch:
-                item, label = train_items[idx], train_labels[idx]
-                features = load_features(item.path)
+            for part in range(0, len(batch), step):
+                indices = batch[part : part + step]
+                features = _stack_features(model, [train_items[i] for i in indices])
+                labels = train_labels[indices]
                 try:
                     probs = model.forward(features, training=True, rng=dropout_rng)
-                    loss = cross_entropy(probs, label)
+                    losses = cross_entropy(probs, labels)
                 except NumericError as exc:
                     raise DivergenceError(
                         f"non-finite values at epoch {epoch}, batch {start // config.batch_size}"
                     ) from exc
-                if not np.isfinite(loss):
+                if not np.all(np.isfinite(losses)):
                     raise DivergenceError(
                         f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                     )
-                epoch_loss += loss
-                epoch_correct += int(np.argmax(probs)) == label
-                model.backward(label)
+                epoch_loss += float(losses.sum())
+                epoch_correct += int(np.sum(np.argmax(probs, axis=1) == labels))
+                model.backward(labels)
             grads = model.grad_arrays()
             for grad in grads:
                 grad /= len(batch)

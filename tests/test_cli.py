@@ -161,6 +161,15 @@ class TestTrainCommand:
         assert model.config.rnn_kind == "lstm"
         assert model.config.n_classes == 2
 
+    def test_echo_records_blas_threads(self, capsys, tmp_path, cli_corpus):
+        code, stdout, _ = run_cli(
+            capsys, "train", "--corpus", cli_corpus["corpus"], "--out", str(tmp_path / "m.ckpt"),
+            "--filters", "2,2,2,2", "--hidden", "3,3", "--epochs", "1",
+        )
+        assert code == 0
+        threads = json.loads(stdout.splitlines()[0])["effective_config"]["blas_threads"]
+        assert isinstance(threads, int) and threads > 0
+
     def test_empty_corpus_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--corpus", str(tmp_path / "void"),
                                "--out", str(tmp_path / "m.ckpt"))
@@ -399,6 +408,50 @@ class TestOutputPathsCheckedFirst:
         assert code == 2
         assert f"cannot write {target}" in err
         assert len(stdout.splitlines()) == 1  # the config echo, no report
+
+
+    @pytest.mark.parametrize("flag, where", [
+        ("--out", "missing directory"),
+        ("--history", "regular file"),
+    ])
+    def test_train_output_checked_before_training(self, capsys, monkeypatch, tmp_path,
+                                                  cli_corpus, flag, where):
+        monkeypatch.setattr("callseg.cli.train",
+                            lambda *a: pytest.fail("trained before the output path was checked"))
+        target = self.target(tmp_path, where)
+        outputs = {"--out": str(tmp_path / "m.ckpt"), flag: target}
+        code, stdout, err = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"],
+                                    *(arg for pair in outputs.items() for arg in pair))
+        assert code == 2
+        assert f"cannot write {target}" in err
+        assert stdout == ""  # nothing resolved or echoed
+
+    def test_features_output_checked_before_reading(self, capsys, monkeypatch, tmp_path,
+                                                    tone_wav):
+        monkeypatch.setattr("callseg.cli.load_audio",
+                            lambda *a, **k: pytest.fail("read the WAV before checking --out"))
+        target = self.target(tmp_path, "missing directory")
+        code, _, err = run_cli(capsys, "features", "--in", tone_wav, "--out", target)
+        assert code == 2
+        assert f"cannot write {target}" in err
+
+    def test_synth_out_naming_a_file_exits_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("callseg.cli.synth_corpus",
+                            lambda *a: pytest.fail("synthesized before checking --out"))
+        target = tmp_path / "plain.txt"
+        target.write_text("a regular file\n")
+        spec = write_spec(tmp_path / "spec.json")
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--seed", "1",
+                               "--out", str(target))
+        assert code == 2
+        assert f"cannot write {target}" in err
+        assert target.read_text() == "a regular file\n"
+
+    def test_synth_out_may_be_a_new_nested_directory(self, capsys, tmp_path):
+        out = tmp_path / "new" / "corpus"
+        spec = write_spec(tmp_path / "spec.json")
+        code, _, _ = run_cli(capsys, "synth", "--spec", spec, "--seed", "1", "--out", str(out))
+        assert code == 0 and (out / "manifest.json").is_file()
 
 
 class TestPrepareCommand:

@@ -25,6 +25,13 @@ def test_tiny_lstm_passes():
     assert gradient_check(tiny_model("lstm"), tiny_input(), eps=1e-4, label=1) < 1e-4
 
 
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_batch_of_three_passes(rnn_kind):
+    # the summed loss of three samples, whose gradients one batched backward accumulates
+    batch = np.random.default_rng(4).standard_normal((3, 12, 50)) * 2.0
+    assert gradient_check(tiny_model(rnn_kind), batch, eps=1e-4, label=[1, 0, 1]) < 1e-4
+
+
 class LinearProbe:
     """No activations anywhere: loss is exactly linear in the parameters."""
 

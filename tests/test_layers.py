@@ -60,14 +60,14 @@ def conv_layer(kernels, bias):
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((1, 6, 7))
+        x = rng.standard_normal((2, 1, 6, 7))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
         npt.assert_allclose(conv_layer(k, np.zeros(1)).forward(x), x)
 
     def test_all_ones_kernel_on_ones_input(self):
-        x = np.ones((1, 5, 5))
-        out = conv_layer(np.ones((1, 1, 3, 3)), np.zeros(1)).forward(x)[0]
+        x = np.ones((1, 1, 5, 5))
+        out = conv_layer(np.ones((1, 1, 3, 3)), np.zeros(1)).forward(x)[0, 0]
         assert out[2, 2] == 9
         assert out[0, 0] == out[0, 4] == out[4, 0] == out[4, 4] == 4
         assert out[0, 2] == out[2, 0] == out[2, 4] == out[4, 2] == 6
@@ -75,42 +75,70 @@ class TestConv2d:
     def test_zero_input_gives_bias(self):
         bias = np.array([1.5, -2.0])
         layer = conv_layer(np.random.default_rng(1).standard_normal((2, 3, 3, 3)), bias)
-        out = layer.forward(np.zeros((3, 4, 4)))
+        out = layer.forward(np.zeros((1, 3, 4, 4)))[0]
         npt.assert_allclose(out[0], 1.5)
         npt.assert_allclose(out[1], -2.0)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((2, 5, 6))
+        x = rng.standard_normal((2, 2, 5, 6))
         k = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        npt.assert_allclose(conv_layer(k, b).forward(x), reference_conv2d(x, k, b), atol=1e-12)
+        out = conv_layer(k, b).forward(x)
+        for sample, got in zip(x, out):
+            npt.assert_allclose(got, reference_conv2d(sample, k, b), atol=1e-12)
 
-    # 4320 column bytes per row of this map: blocks of one row, of three rows, and the whole map
-    @pytest.mark.parametrize("budget", [1, 3 * 4320, 1 << 30])
-    def test_inference_row_blocks_match_training_columns(self, monkeypatch, budget):
-        monkeypatch.setattr(layers, "COLUMN_BYTES", budget)
+    # 8640 column bytes per row of this two-sample map: blocks of one row, of
+    # three rows, and the whole map
+    @pytest.mark.parametrize("budget", [1, 3 * 8640, 1 << 30])
+    def test_row_blocks_match_whole_map_columns(self, monkeypatch, budget):
         rng = np.random.default_rng(3)
         layer = Conv2d(3, 4, rng)
-        x = rng.standard_normal((3, 13, 40)).astype(np.float32)
-        g = rng.standard_normal((4, 13, 40)).astype(np.float32)
-        want = layer.forward(x, training=True)
-        want_dx = layer.backward(g)
-        want_grads = {name: grad.copy() for name, grad in layer.grads.items()}
-        for grad in layer.grads.values():
-            grad[...] = 0
-        assert np.array_equal(layer.forward(x), want)
-        # a backward after an inference forward rebuilds the same columns
-        assert np.array_equal(layer.backward(g), want_dx)
-        for name, grad in layer.grads.items():
-            assert np.array_equal(grad, want_grads[name])
+        x = rng.standard_normal((2, 3, 13, 40)).astype(np.float32)
+        g = rng.standard_normal((2, 4, 13, 40)).astype(np.float32)
+
+        def run():
+            out = layer.forward(x, training=True)
+            dx = layer.backward(g)
+            grads = {name: grad.copy() for name, grad in layer.grads.items()}
+            for grad in layer.grads.values():
+                grad[...] = 0
+            return out, dx, grads
+
+        monkeypatch.setattr(layers, "COLUMN_BYTES", 1 << 30)
+        want, want_dx, want_grads = run()
+        monkeypatch.setattr(layers, "COLUMN_BYTES", budget)
+        out, dx, grads = run()
+        # every output column is its own GEMM column, which analyze's bit-identity rests on
+        assert np.array_equal(out, want) and np.array_equal(layer.forward(x), want)
+        assert np.array_equal(grads["bias"], want_grads["bias"])
+        # the kernel gradient adds one product per block; OpenBLAS may order
+        # the input gradient's 36-term sums differently for a 40-column block
+        for got, ref in ((dx, want_dx), (grads["kernels"], want_grads["kernels"])):
+            npt.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+    def test_batch_rows_equal_single_samples(self):
+        rng = np.random.default_rng(4)
+        layer = Conv2d(2, 3, rng)
+        x = rng.standard_normal((3, 2, 6, 9)).astype(np.float32)
+        g = rng.standard_normal((3, 3, 6, 9)).astype(np.float32)
+        out = layer.forward(x, training=True)
+        dx = layer.backward(g)
+        batch_kernels = layer.grads["kernels"].copy()
+        layer.grads["kernels"][...] = 0
+        for i in range(3):
+            assert np.array_equal(layer.forward(x[i : i + 1], training=True), out[i : i + 1])
+            npt.assert_allclose(layer.backward(g[i : i + 1]), dx[i : i + 1], rtol=0,
+                                atol=1e-5 * np.abs(dx).max())
+        npt.assert_allclose(batch_kernels, layer.grads["kernels"], rtol=0,
+                            atol=1e-5 * np.abs(batch_kernels).max())
 
     def test_channel_mismatch(self):
         layer = conv_layer(np.zeros((1, 3, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((2, 4, 4)))
+            layer.forward(np.zeros((1, 2, 4, 4)))
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((3, 4)))
+            layer.forward(np.zeros((3, 4, 4)))
 
 
 class TestMaxPool:
@@ -140,16 +168,16 @@ class TestMaxPool:
 
     def test_tie_breaks_to_first_row_major(self):
         pool = MaxPool2d((3, 3))
-        pool.forward(np.ones((1, 3, 3)))
+        pool.forward(np.ones((1, 3, 3)), training=True)
         dx = pool.backward(np.ones((1, 1, 1)))
         # the whole gradient lands at window position 0
         assert dx[0, 0, 0] == 1 and np.count_nonzero(dx) == 1
 
     def test_backward_routes_and_conserves_mass(self):
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 7, 9))
+        x = rng.standard_normal((2, 2, 7, 9))
         pool = MaxPool2d((3, 3))
-        out = pool.forward(x)
+        out = pool.forward(x, training=True)
         g = rng.standard_normal(out.shape)
         dx = pool.backward(g)
         assert dx.shape == x.shape
@@ -283,11 +311,11 @@ ACTIVATIONS = {"elu": old_elu, "relu": lambda x: np.maximum(x, 0), "linear": lam
 
 def reference_forward(model, features, activation):
     """Activation-then-pool forward with the brute-force pool, dropout off."""
-    out = np.asarray(features, dtype=model.dtype)[None, :, :]
+    out = np.asarray(features, dtype=model.dtype)[None, None]
     for conv, _act, pool, _drop in model.blocks:
-        out = reference_maxpool(ACTIVATIONS[activation](conv.forward(out)), pool.kernel)
-    hs1 = model.rnn1.forward(out[:, 0, :].T)
-    return softmax(model.head.forward(model.rnn2.forward(hs1)[-1]))
+        out = reference_maxpool(ACTIVATIONS[activation](conv.forward(out)[0]), pool.kernel)[None]
+    hs1 = model.rnn1.forward(out[:, :, 0, :].transpose(0, 2, 1))
+    return softmax(model.head.forward(model.rnn2.forward(hs1)[:, -1]))[0]
 
 
 def reference_maxpool_backward(x, grad_out, kernel):
@@ -351,10 +379,11 @@ def test_pool_layer_backward_matches_argmax_routing(shape, kernel, ties):
     # or more, and the first of two tied zeros decides the pooled zero's sign
     x = rng.choice([-0.0, 0.0, 1.0], shape) if ties else rng.standard_normal(shape)
     layer = MaxPool2d(kernel)
-    out = layer.forward(x)
+    out = layer.forward(x, training=True)
     g = rng.standard_normal(out.shape)
     dx = layer.backward(g)
     assert np.array_equal(out, reference_maxpool(x, kernel))
+    assert np.array_equal(layer.forward(x), out)  # inference computes no index
     assert np.array_equal(np.signbit(out), np.signbit(reference_first_max(x, kernel)))
     assert np.array_equal(dx, reference_maxpool_backward(x, g, kernel))
 
@@ -362,7 +391,7 @@ def test_pool_layer_backward_matches_argmax_routing(shape, kernel, ties):
 def test_pool_argmax_follows_first_nan_like_argmax():
     x = np.array([[[1.0, np.nan, 5.0], [np.nan, 2.0, 0.0]]])
     pool = MaxPool2d((2, 2))
-    out = pool.forward(x)
+    out = pool.forward(x, training=True)
     assert np.isnan(out[0, 0, 0]) and out[0, 0, 1] == 5.0
     dx = pool.backward(np.ones((1, 1, 2)))
     # window 0 routes to its first NaN, position 1; window 1 to position 0

@@ -133,6 +133,48 @@ class TestForward:
         npt.assert_allclose(shifted, base, rtol=1e-4)
 
 
+# a batch and the same samples one at a time, held to
+# max |batch - single| / max |single| <= BATCH_TOL[dtype]
+BATCH_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rnn_kind", ["gru", "lstm"])
+def test_batch_matches_single_samples(rnn_kind, dtype):
+    config = ModelConfig(**{**TINY, "input_shape": (24, 40)}, rnn_kind=rnn_kind, n_classes=4,
+                         dropout_p=0.0)
+    model = build_crnn(config, seed=6, dtype=dtype)
+    model.normalization = (0.5, 2.0)
+    rng = np.random.default_rng(7)
+    x = (3.0 * rng.standard_normal((5, 24, 40))).astype(np.float32)
+    labels = [0, 3, 1, 2, 3]
+
+    singles = []
+    model.zero_grads()
+    for features, label in zip(x, labels):
+        singles.append(model.forward(features, training=True))
+        model.backward(label)
+    single_grads = [g.copy() for g in model.grad_arrays()]
+    model.zero_grads()
+    probs = model.forward(x, training=True)
+    batch_grads = model.backward(labels)
+
+    tol = BATCH_TOL[dtype]
+    assert probs.shape == (5, 4) and probs.dtype == dtype
+    for got, want in [(probs, np.array(singles)), *zip(batch_grads, single_grads)]:
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def test_batch_loss_is_the_sum_of_sample_losses():
+    model = tiny_model(n_classes=4)
+    x = np.random.default_rng(8).standard_normal((3, 12, 20)).astype(np.float32)
+    labels = [2, 0, 3]
+    singles = [model.loss(features, label) for features, label in zip(x, labels)]
+    assert model.loss(x, labels) == pytest.approx(sum(singles), rel=1e-6)
+    with pytest.raises(ShapeError):
+        model.loss(x, [2, 0])
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = tiny_model(seed=13, n_classes=4, rnn_kind="lstm")
@@ -177,6 +219,25 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
+
+    def test_failed_save_leaves_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(seed=1), str(path))
+        before = path.read_bytes()
+        real_pack = callseg.model.struct.pack
+        calls = []
+
+        def failing_pack(fmt, *values):
+            calls.append(fmt)
+            if len(calls) == 2:  # the checksum, after the header and parameters are written
+                raise OSError("disk full")
+            return real_pack(fmt, *values)
+
+        monkeypatch.setattr(callseg.model.struct, "pack", failing_pack)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tiny_model(seed=2), str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "m.ckpt"

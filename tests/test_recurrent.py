@@ -22,8 +22,8 @@ def zeroed(layer):
 class TestGRU:
     def test_zero_weights_fixed_point(self):
         g = zeroed(GRULayer(3, 4, np.random.default_rng(0), dtype=np.float64))
-        hs = g.forward(np.random.default_rng(1).standard_normal((6, 3)))
-        npt.assert_array_equal(hs, np.zeros((6, 4)))
+        hs = g.forward(np.random.default_rng(1).standard_normal((2, 6, 3)))
+        npt.assert_array_equal(hs, np.zeros((2, 6, 4)))
 
     def test_scalar_closed_form_single_step(self):
         # the one-step closed form at every step; step 2 starts from h0 = h1 != 0
@@ -42,7 +42,7 @@ class TestGRU:
 
         xs = [0.9, 0.7]
         h1 = step(xs[0], 0.0)
-        hs = g.forward(np.array(xs).reshape(2, 1))
+        hs = g.forward(np.array(xs).reshape(1, 2, 1))[0]
         assert hs[0, 0] == pytest.approx(h1, rel=1e-12)
         assert hs[1, 0] == pytest.approx(step(xs[1], h1), rel=1e-12)
 
@@ -56,13 +56,13 @@ class TestGRU:
             r = sigmoid(params["wr"] * x + params["ur"] * h + params["br"])
             c = math.tanh(params["wc"] * x + params["uc"] * (r * h) + params["bc"])
             h = (1 - z) * h + z * c
-        hs = g.forward(np.array(xs).reshape(2, 1))
+        hs = g.forward(np.array(xs).reshape(1, 2, 1))[0]
         assert hs[1, 0] == pytest.approx(h, rel=1e-12)
 
     def test_empty_sequence(self):
         g = GRULayer(3, 4, np.random.default_rng(0))
-        hs = g.forward(np.zeros((0, 3)))
-        assert hs.shape == (0, 4)
+        hs = g.forward(np.zeros((2, 0, 3)))
+        assert hs.shape == (2, 0, 4)
 
     def test_param_count_formula(self):
         g = GRULayer(32, 84, np.random.default_rng(0))
@@ -71,14 +71,16 @@ class TestGRU:
     def test_shape_mismatch(self):
         g = GRULayer(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            g.forward(np.zeros((5, 2)))
+            g.forward(np.zeros((1, 5, 2)))
+        with pytest.raises(ShapeError):
+            g.forward(np.zeros((5, 3)))
 
 
 class TestLSTM:
     def test_zero_weights_fixed_point(self):
         layer = zeroed(LSTMLayer(3, 4, np.random.default_rng(0), dtype=np.float64))
-        hs = layer.forward(np.random.default_rng(1).standard_normal((6, 3)))
-        npt.assert_array_equal(hs, np.zeros((6, 4)))
+        hs = layer.forward(np.random.default_rng(1).standard_normal((2, 6, 3)))
+        npt.assert_array_equal(hs, np.zeros((2, 6, 4)))
 
     def test_scalar_closed_form_single_step(self):
         # the one-step closed form at every step; step 2 starts from h1, c1 != 0
@@ -98,7 +100,7 @@ class TestLSTM:
 
         xs = [-0.6, 0.8]
         h1, c1 = step(xs[0], 0.0, 0.0)
-        hs = layer.forward(np.array(xs).reshape(2, 1))
+        hs = layer.forward(np.array(xs).reshape(1, 2, 1))[0]
         assert hs[0, 0] == pytest.approx(h1, rel=1e-12)
         assert hs[1, 0] == pytest.approx(step(xs[1], h1, c1)[0], rel=1e-12)
 
@@ -110,12 +112,12 @@ class TestLSTM:
 
     def test_empty_sequence(self):
         layer = LSTMLayer(2, 3, np.random.default_rng(0))
-        assert layer.forward(np.zeros((0, 2))).shape == (0, 3)
+        assert layer.forward(np.zeros((2, 0, 2))).shape == (2, 0, 3)
 
     def test_shape_mismatch(self):
         layer = LSTMLayer(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((5, 4)))
+            layer.forward(np.zeros((1, 5, 4)))
 
 
 @pytest.mark.parametrize("cls,names", [
@@ -138,9 +140,9 @@ def test_parameters_drawn_in_checkpoint_order(cls, names):
 
 
 # ---------------------------------------------------------------------------
-# golden reference: the per-gate, per-step recurrences with per-step gradient
-# accumulation, against which the gate-major, hoisted layers are held to
-# max |new - ref| / max |ref| <= GOLDEN_TOL[dtype]
+# golden reference: the per-gate, per-step recurrences of one sequence with
+# per-step gradient accumulation, against which the batched, gate-major,
+# hoisted layers are held to max |new - ref| / max |ref| <= GOLDEN_TOL[dtype]
 
 GOLDEN_TOL = {np.float32: 1e-5, np.float64: 1e-12}
 
@@ -223,8 +225,9 @@ def assert_golden(new, ref, tol):
 @pytest.mark.parametrize("T", [0, 1, 42])
 @pytest.mark.parametrize("cls,reference", [(GRULayer, reference_gru), (LSTMLayer, reference_lstm)])
 def test_matches_per_gate_reference(cls, reference, T, dtype):
-    # F != H, non-zero biases, and gradients accumulated over two sequences
-    F, H = 5, 7
+    # F != H, non-zero biases, and gradients summed over a batch of three
+    # sequences and accumulated over two batches
+    F, H, N = 5, 7, 3
     rng = np.random.default_rng(T)
     layer = cls(F, H, rng, dtype=dtype)
     for name in layer.param_names:
@@ -234,16 +237,18 @@ def test_matches_per_gate_reference(cls, reference, T, dtype):
     expected = {n: np.zeros_like(v) for n, v in p.items()}
     tol = GOLDEN_TOL[dtype]
     for _ in range(2):
-        xs = rng.standard_normal((T, F)).astype(dtype)
-        grad_hs = rng.standard_normal((T, H)).astype(dtype)
-        hs_ref, dxs_ref, g_ref = reference(p, xs.astype(np.float64), grad_hs.astype(np.float64))
-        hs = layer.forward(xs)
+        xs = rng.standard_normal((N, T, F)).astype(dtype)
+        grad_hs = rng.standard_normal((N, T, H)).astype(dtype)
+        hs = layer.forward(xs, training=True)
         dxs = layer.backward(grad_hs)
         assert hs.dtype == dxs.dtype == dtype
-        assert_golden(hs, hs_ref, tol)
-        assert_golden(dxs, dxs_ref, tol)
-        for name in layer.param_names:
-            expected[name] += g_ref[name]
+        for i in range(N):
+            hs_ref, dxs_ref, g_ref = reference(p, xs[i].astype(np.float64),
+                                               grad_hs[i].astype(np.float64))
+            assert_golden(hs[i], hs_ref, tol)
+            assert_golden(dxs[i], dxs_ref, tol)
+            for name in layer.param_names:
+                expected[name] += g_ref[name]
     for name in layer.param_names:
         assert layer.grads[name].dtype == dtype
         assert_golden(layer.grads[name], expected[name], tol)

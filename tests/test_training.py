@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import callseg
 from callseg.errors import DataError, DivergenceError, LayoutError
 from callseg.features import save_features
 from callseg.synth import SynthSpec, synth_corpus
-from callseg.training import TrainConfig, evaluate, scan_corpus, train
+import callseg.training as training_mod
+from callseg.training import TrainConfig, evaluate, micro_batch_size, scan_corpus, train
 
 TINY_MODEL = dict(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3), input_shape=(96, 50))
 
@@ -153,6 +155,52 @@ class TestTrain:
         best_model, history = train(model, micro_corpus, config)
         result = evaluate(best_model, micro_corpus, "validation")
         assert result.accuracy == pytest.approx(max(history.val_acc))
+
+
+class TestMicroBatches:
+    def test_size_comes_from_the_model_config(self):
+        reduced = callseg.ModelConfig(conv_filters=(8, 8, 8, 8), rnn_hidden=(16, 16),
+                                      n_classes=4, input_shape=(96, 250))
+        assert micro_batch_size(callseg.build_crnn(reduced, seed=0)) == 4
+        assert micro_batch_size(callseg.build_crnn(reduced, seed=9)) == 4
+        assert micro_batch_size(callseg.build_crnn(callseg.ModelConfig(), seed=0)) == 1
+
+    def test_each_batch_and_the_validation_split_run_in_micro_batches(self, micro_corpus,
+                                                                       monkeypatch):
+        model = tiny_model(n_classes=2)
+        monkeypatch.setattr(training_mod, "BATCH_BYTES", 4 * model.cache_bytes())
+        passes = []
+        forward = model.forward
+
+        def counting(features, training=False, rng=None):
+            passes.append((len(features), training))
+            return forward(features, training, rng)
+
+        model.forward = counting
+        train(model, micro_corpus, TrainConfig(max_epochs=1, patience=5, batch_size=10, seed=0))
+        # 24 training samples in batches of 10, 10 and 4; 12 validation samples
+        assert [n for n, training in passes if training] == [4, 4, 2, 4, 4, 2, 4]
+        assert [n for n, training in passes if not training] == [4, 4, 4]
+
+    @staticmethod
+    def train_peak(corpus, batch_size):
+        tracemalloc.start()
+        try:
+            train(tiny_model(n_classes=2), corpus,
+                  TrainConfig(max_epochs=1, patience=5, batch_size=batch_size, seed=0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_batch_size(self, micro_corpus, monkeypatch):
+        per_sample = tiny_model().cache_bytes()
+        monkeypatch.setattr(training_mod, "BATCH_BYTES", 4 * per_sample)
+        small = self.train_peak(micro_corpus, 4)
+        large = self.train_peak(micro_corpus, 32)  # all 24 samples in one batch
+        assert large <= small + (64 << 10)
+        # the check can fail: one pass over all 24 samples holds their caches together
+        monkeypatch.setattr(training_mod, "BATCH_BYTES", 1 << 40)
+        assert self.train_peak(micro_corpus, 32) > small + 10 * per_sample
 
 
 class TestEvaluate:
