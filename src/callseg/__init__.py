@@ -19,15 +19,14 @@ from .audio import AudioBuffer, load_audio, save_wav
 from .dbas import (
     CallMetadata,
     CorpusManifest,
+    CorpusWriter,
     SegmentAnnotation,
-    Utterance,
     class_label_of,
     consistency_filter,
     cut_utterances,
     dbas_label,
     filter_calls,
     prepare_corpus,
-    write_corpus,
 )
 from .features import (
     MelSpectrogram,

@@ -82,6 +82,7 @@ def _cmd_prepare(args) -> int:
     _echo("prepare", {"segments": args.segments, "calls": args.calls, "audio": args.audio,
                       "out": args.out, "val_fraction": args.val_fraction, "seed": args.seed,
                       "utterance_seconds": args.utterance_seconds})
+    _check_output_paths(args.out, directory=True)
     calls = read_calls_csv(args.calls)
     segments_by_call = {}
     for call in calls:

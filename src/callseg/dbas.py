@@ -9,6 +9,9 @@ The on-disk corpus follows
 ``<root>/<train|validation>/<agent|customer>/<female|male>/<speakerId>/<utteranceNo>.npy``
 with one log-mel feature array per fixed-length utterance, plus a
 ``manifest.json`` of per-split / per-class / per-gender counts.
+``CorpusWriter`` writes each utterance as soon as it is cut into a staging
+tree under the root and keeps only counts, so memory does not grow with
+the corpus; once the splits are known it moves each speaker into place.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import csv
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +99,11 @@ class CallMetadata:
         if not self.customer_id:
             # one anonymous customer per call; no cross-call identity exists
             self.customer_id = f"{self.call_id}.customer"
+        for name in ("call_id", "agent_id", "customer_id"):
+            value = getattr(self, name)
+            # a speaker id names a directory of the corpus tree
+            if value in ("", ".", "..") or any(sep and sep in value for sep in (os.sep, os.altsep)):
+                raise InputError(f"{name} {value!r} cannot name a directory")
 
 
 def _read_csv(path: str, header: list[str]) -> list[tuple[int, dict]]:
@@ -232,24 +241,9 @@ def segment_samples(audio: AudioBuffer, segments) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-@dataclass
-class Utterance:
-    speaker_id: str
-    class_label: int
-    utterance_index: int
-    samples: np.ndarray
-    sample_rate: int = 8000
-
-
-def cut_utterances(
-    samples,
-    speaker_id: str,
-    class_label: int,
-    sample_rate: int = 8000,
-    seconds: float = UTTERANCE_SECONDS,
-    start_index: int = 0,
-) -> list[Utterance]:
-    """Cut floor(len/seconds) consecutive fixed-length utterances; rest dropped.
+def cut_utterances(samples, sample_rate: int = 8000,
+                   seconds: float = UTTERANCE_SECONDS) -> list[np.ndarray]:
+    """Views of floor(len/seconds) consecutive fixed-length utterances; rest dropped.
 
     An utterance shorter than one log-mel analysis window raises ConfigError.
     """
@@ -257,17 +251,7 @@ def cut_utterances(
     size = int(round(seconds * sample_rate))
     if size < WINDOW:
         raise ConfigError(f"utterance length {seconds} s is under one {WINDOW}-sample window")
-    count = len(samples) // size
-    return [
-        Utterance(
-            speaker_id=speaker_id,
-            class_label=class_label,
-            utterance_index=start_index + i,
-            samples=samples[i * size : (i + 1) * size],
-            sample_rate=sample_rate,
-        )
-        for i in range(count)
-    ]
+    return [samples[i * size : (i + 1) * size] for i in range(len(samples) // size)]
 
 
 @dataclass
@@ -287,72 +271,99 @@ class CorpusManifest:
             fh.write(self.to_json() + "\n")
 
 
-def _count_tree(utterances, speaker_splits) -> dict:
-    splits: dict = {}
-    for utt in utterances:
-        split = speaker_splits[utt.speaker_id]
-        role, gender = role_of(utt.class_label), gender_of(utt.class_label)
-        node = splits.setdefault(
-            split,
-            {"speakers": set(), "utterances": 0, "classes": {}},
-        )
-        node["speakers"].add(utt.speaker_id)
-        node["utterances"] += 1
-        cls = node["classes"].setdefault(
-            role, {"speakers": set(), "utterances": 0, "genders": {}}
-        )
-        cls["speakers"].add(utt.speaker_id)
-        cls["utterances"] += 1
-        gnode = cls["genders"].setdefault(gender, {"speakers": set(), "utterances": 0})
-        gnode["speakers"].add(utt.speaker_id)
-        gnode["utterances"] += 1
-
-    def finalize(node):
-        for key, value in node.items():
-            if isinstance(value, dict):
-                finalize(value)
-            elif isinstance(value, set):
-                node[key] = len(value)
-
-    finalize(splits)
-    return splits
+def _leaf(top: str, speaker_id: str, class_label: int) -> str:
+    return os.path.join(top, role_of(class_label), gender_of(class_label), speaker_id)
 
 
-def write_corpus(utterances, split_assignment, root: str) -> CorpusManifest:
-    """Write feature files into the corpus tree and return the manifest.
+class CorpusWriter:
+    """Writes a corpus tree one utterance at a time, in memory independent of its size.
 
-    split_assignment maps split name -> iterable of speaker ids; a speaker
-    in two splits raises SplitLeakError, an unassigned one DataError.
-    Deterministic and idempotent for identical inputs.
+    ``add`` saves each utterance's features at once into a staging tree
+    ``<root>/.staging.<pid>/<role>/<gender>/<speaker>/<n>.npy`` and keeps
+    only per-speaker counts; ``finish`` moves the staged speakers into
+    their splits and writes the manifest. Used as a context manager, it
+    removes the staging tree on exit, and on an error also a root that did
+    not exist before.
     """
-    assignment = {split: set(split_assignment.get(split, ())) for split in SPLITS}
-    overlap = assignment["train"] & assignment["validation"]
-    if overlap:
-        raise SplitLeakError(f"speakers in both splits: {sorted(overlap)}")
-    speaker_splits = {spk: split for split in SPLITS for spk in assignment[split]}
 
-    ordered = sorted(utterances, key=lambda u: (u.speaker_id, u.utterance_index))
-    for utt in ordered:
-        if utt.speaker_id not in speaker_splits:
-            raise DataError(f"speaker {utt.speaker_id} has no split assignment")
+    def __init__(self, root: str):
+        self.root = root
+        self.staging = os.path.join(root, f".staging.{os.getpid()}")
+        self.counts: dict[str, dict[int, int]] = {}  # speaker -> class label -> utterances
+        self._new_root = not os.path.exists(root)
 
-    for utt in ordered:
-        split = speaker_splits[utt.speaker_id]
-        leaf = os.path.join(
-            root, split, role_of(utt.class_label), gender_of(utt.class_label), utt.speaker_id
+    def __enter__(self) -> "CorpusWriter":
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        shutil.rmtree(self.root if exc_type and self._new_root else self.staging,
+                      ignore_errors=True)
+
+    def add(self, speaker_id: str, class_label: int, samples, rate: int) -> None:
+        """Stage one utterance as the speaker's next number, counted from 0."""
+        labels = self.counts.setdefault(speaker_id, {})
+        leaf = _leaf(self.staging, speaker_id, class_label)
+        if class_label not in labels:
+            os.makedirs(leaf, exist_ok=True)
+            labels[class_label] = 0
+        spec = log_mel_spectrogram(AudioBuffer(samples, rate))
+        save_features(os.path.join(leaf, f"{sum(labels.values())}.npy"), spec.values)
+        labels[class_label] += 1
+
+    def finish(self, split_assignment) -> CorpusManifest:
+        """Move the staged speakers into ``<root>/<split>/`` and write the manifest.
+
+        split_assignment maps split name -> iterable of speaker ids; a
+        speaker in two splits raises SplitLeakError, an unassigned one
+        DataError, both before any file moves. Files already in the tree
+        are replaced, so a re-run into the same root gives the same tree.
+        """
+        assignment = {split: set(split_assignment.get(split, ())) for split in SPLITS}
+        overlap = assignment["train"] & assignment["validation"]
+        if overlap:
+            raise SplitLeakError(f"speakers in both splits: {sorted(overlap)}")
+        speaker_splits = {spk: split for split in SPLITS for spk in assignment[split]}
+        for speaker in sorted(self.counts):
+            if speaker not in speaker_splits:
+                raise DataError(f"speaker {speaker} has no split assignment")
+
+        splits: dict = {}
+        for speaker, labels in sorted(self.counts.items()):
+            split = speaker_splits[speaker]
+            for label, count in labels.items():
+                source = _leaf(self.staging, speaker, label)
+                target = _leaf(os.path.join(self.root, split), speaker, label)
+                if not os.path.isdir(os.path.dirname(target)):
+                    os.makedirs(os.path.dirname(target))
+                if os.path.exists(target):
+                    for name in os.listdir(source):
+                        os.replace(os.path.join(source, name), os.path.join(target, name))
+                else:
+                    os.rename(source, target)
+                node = splits.setdefault(split, {"speakers": set(), "utterances": 0, "classes": {}})
+                cls = node["classes"].setdefault(
+                    role_of(label), {"speakers": set(), "utterances": 0, "genders": {}}
+                )
+                gnode = cls["genders"].setdefault(
+                    gender_of(label), {"speakers": set(), "utterances": 0}
+                )
+                for level in (node, cls, gnode):
+                    level["speakers"].add(speaker)
+                    level["utterances"] += count
+        shutil.rmtree(self.staging, ignore_errors=True)
+
+        def counted(node):
+            return {key: len(value) if isinstance(value, set)
+                    else counted(value) if isinstance(value, dict) else value
+                    for key, value in node.items()}
+
+        manifest = CorpusManifest(
+            splits=counted(splits),
+            speaker_splits={s: speaker_splits[s] for s in sorted(self.counts)},
         )
-        os.makedirs(leaf, exist_ok=True)
-        spec = log_mel_spectrogram(AudioBuffer(utt.samples, utt.sample_rate))
-        save_features(os.path.join(leaf, f"{utt.utterance_index}.npy"), spec.values)
-
-    used = {u.speaker_id for u in ordered}
-    manifest = CorpusManifest(
-        splits=_count_tree(ordered, speaker_splits),
-        speaker_splits={s: speaker_splits[s] for s in sorted(used)},
-    )
-    os.makedirs(root, exist_ok=True)
-    manifest.save(os.path.join(root, "manifest.json"))
-    return manifest
+        os.makedirs(self.root, exist_ok=True)
+        manifest.save(os.path.join(self.root, "manifest.json"))
+        return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -413,31 +424,22 @@ def prepare_corpus(
     retained = consistency_filter(history)
     dropped = set(history) - retained
 
-    utterances = []
-    next_index: dict[str, int] = {}
-    for call, sides in kept:
-        audio = audio_loader(call)
-        for side in sides:
-            if side.speaker_id not in retained:
-                continue
-            cut = cut_utterances(
-                segment_samples(audio, side.segments),
-                side.speaker_id,
-                side.class_label,
-                sample_rate=audio.sample_rate,
-                seconds=utterance_seconds,
-                start_index=next_index.get(side.speaker_id, 0),
-            )
-            next_index[side.speaker_id] = next_index.get(side.speaker_id, 0) + len(cut)
-            utterances.extend(cut)
+    with CorpusWriter(out_root) as writer:
+        for call, sides in kept:
+            audio = audio_loader(call)
+            for side in sides:
+                if side.speaker_id not in retained:
+                    continue
+                samples = segment_samples(audio, side.segments)
+                for utterance in cut_utterances(samples, audio.sample_rate, utterance_seconds):
+                    writer.add(side.speaker_id, side.class_label, utterance, audio.sample_rate)
 
-    speakers = sorted({u.speaker_id for u in utterances})
-    if not speakers:
-        return PrepareResult(None, [c for c, _s in kept], rejections, dropped)
+        speakers = sorted(writer.counts)
+        if not speakers:
+            return PrepareResult(None, [c for c, _s in kept], rejections, dropped)
 
-    rng = np.random.default_rng(seed)
-    order = [speakers[i] for i in rng.permutation(len(speakers))]
-    n_val = int(round(val_fraction * len(speakers)))
-    assignment = {"validation": set(order[:n_val]), "train": set(order[n_val:])}
-    manifest = write_corpus(utterances, assignment, out_root)
+        rng = np.random.default_rng(seed)
+        order = [speakers[i] for i in rng.permutation(len(speakers))]
+        n_val = int(round(val_fraction * len(speakers)))
+        manifest = writer.finish({"validation": order[:n_val], "train": order[n_val:]})
     return PrepareResult(manifest, [c for c, _s in kept], rejections, dropped)

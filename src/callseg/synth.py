@@ -20,12 +20,11 @@ import numpy as np
 from .audio import AudioBuffer
 from .dbas import (
     CorpusManifest,
+    CorpusWriter,
     SegmentAnnotation,
-    Utterance,
     class_label_of,
     gender_of,
     role_of,
-    write_corpus,
 )
 from .errors import ConfigError, JsonConfig, read_json_object
 from .features import WINDOW
@@ -139,26 +138,24 @@ def synth_corpus(spec: SynthSpec, seed: int, out_root: str) -> CorpusManifest:
     """Write a labeled corpus; identical seeds give identical trees, negative ones ConfigError."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    utterances = []
     assignment = {"train": set(), "validation": set()}
-    for class_label in range(4):
-        for split, count in (
-            ("train", spec.train_speakers_per_class),
-            ("validation", spec.val_speakers_per_class),
-        ):
-            for i in range(count):
-                speaker_id = f"c{class_label}{split[0]}{i:02d}"
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, class_label, _SPLIT_CODE[split], i])
-                )
-                voice = speaker_voice(class_label, rng)
-                for j in range(spec.utterances_per_speaker):
-                    samples = synth_speech(voice, spec.utterance_seconds, rng, spec.sample_rate)
-                    utterances.append(
-                        Utterance(speaker_id, class_label, j, samples, spec.sample_rate)
+    with CorpusWriter(out_root) as writer:
+        for class_label in range(4):
+            for split, count in (
+                ("train", spec.train_speakers_per_class),
+                ("validation", spec.val_speakers_per_class),
+            ):
+                for i in range(count):
+                    speaker_id = f"c{class_label}{split[0]}{i:02d}"
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence([seed, class_label, _SPLIT_CODE[split], i])
                     )
-                assignment[split].add(speaker_id)
-    return write_corpus(utterances, assignment, out_root)
+                    voice = speaker_voice(class_label, rng)
+                    for _ in range(spec.utterances_per_speaker):
+                        samples = synth_speech(voice, spec.utterance_seconds, rng, spec.sample_rate)
+                        writer.add(speaker_id, class_label, samples, spec.sample_rate)
+                    assignment[split].add(speaker_id)
+        return writer.finish(assignment)
 
 
 def synth_call(

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,18 @@ def write_tone_wav(path, seconds=10.0, freq=440.0, rate=8000):
     buffer = make_tone(seconds=seconds, freq=freq, rate=rate)
     save_wav(str(path), buffer)
     return buffer
+
+
+def tree_digest(root):
+    """SHA-256 over every file's relative path and bytes under ``root``, in sorted order."""
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in sorted(os.walk(root)):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            digest.update(os.path.relpath(path, root).encode())
+            digest.update(Path(path).read_bytes())
+    return digest.hexdigest()
 
 
 def rewrite_checkpoint_header(path, edit):

@@ -25,23 +25,12 @@ from callseg.metrics import class_scores, confusion
 from callseg.model import ModelConfig, build_crnn, save_checkpoint
 from callseg.synth import SynthSpec, synth_call, synth_corpus
 from callseg.training import TrainConfig, train
-from tests.conftest import write_tone_wav
+from tests.conftest import tree_digest, write_tone_wav
 
 
 def report(criterion, ok, detail):
     print(f"\n[acceptance] criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def tree_digest(root):
-    digest = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = os.path.join(dirpath, name)
-            digest.update(os.path.relpath(path, root).encode())
-            digest.update(pathlib.Path(path).read_bytes())
-    return digest.hexdigest()
 
 
 # -- shared training fixtures (criteria 4 and 9) -----------------------------

@@ -1,4 +1,3 @@
-import hashlib
 import json
 from pathlib import Path
 import os
@@ -11,24 +10,13 @@ from callseg.cli import main
 from callseg.features import load_features
 from callseg.model import load_checkpoint
 from callseg.synth import SynthSpec, speaker_voice, synth_speech
-from tests.conftest import rewrite_checkpoint_header, write_tone_wav
+from tests.conftest import rewrite_checkpoint_header, tree_digest, write_tone_wav
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def tree_digest(root):
-    digest = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = os.path.join(dirpath, name)
-            digest.update(os.path.relpath(path, root).encode())
-            digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
 
 
 def write_spec(path, **overrides):
@@ -447,6 +435,18 @@ class TestOutputPathsCheckedFirst:
         assert f"cannot write {target}" in err
         assert target.read_text() == "a regular file\n"
 
+    def test_prepare_out_naming_a_file_exits_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("callseg.cli.read_calls_csv",
+                            lambda *a: pytest.fail("read the calls CSV before checking --out"))
+        target = tmp_path / "plain.txt"
+        target.write_text("a regular file\n")
+        code, _, err = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",
+                               str(tmp_path / "calls.csv"), "--audio", str(tmp_path),
+                               "--out", str(target))
+        assert code == 2
+        assert f"cannot write {target}" in err
+        assert target.read_text() == "a regular file\n"
+
     def test_synth_out_may_be_a_new_nested_directory(self, capsys, tmp_path):
         out = tmp_path / "new" / "corpus"
         spec = write_spec(tmp_path / "spec.json")
@@ -502,6 +502,23 @@ class TestPrepareCommand:
                                str(calls), "--audio", str(tmp_path), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "duration" in err
+
+    @pytest.mark.parametrize("agent", ["../../escaped", ""])
+    def test_agent_id_outside_the_tree_exits_2(self, capsys, tmp_path, agent):
+        save_wav(str(tmp_path / "c1.wav"), AudioBuffer(np.zeros(12 * 8000), 8000))
+        (tmp_path / "c1.csv").write_text("start,end,label\n0,6,speech_female\n6,12,speech_male\n")
+        calls = tmp_path / "calls.csv"
+        calls.write_text(
+            "call_id,agent_id,agent_gender,duration,audio_path\n"
+            f"c1,{agent},female,120,c1.wav\n"
+        )
+        out = tmp_path / "deep" / "corpus"
+        code, _, err = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",
+                               str(calls), "--audio", str(tmp_path), "--out", str(out),
+                               "--utterance-seconds", "2")
+        assert code == 2
+        assert "agent_id" in err
+        assert not (tmp_path / "deep").exists()
 
     def test_segment_past_the_end_exits_2(self, capsys, tmp_path):
         save_wav(str(tmp_path / "c1.wav"), AudioBuffer(np.zeros(12 * 8000), 8000))

@@ -1,6 +1,6 @@
 import math
-import pathlib
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from callseg.audio import AudioBuffer
 from callseg.dbas import (
     CallMetadata,
+    CorpusWriter,
     SegmentAnnotation,
     class_label_of,
     consistency_filter,
@@ -23,7 +24,6 @@ from callseg.dbas import (
     read_segments_csv,
     role_of,
     segment_samples,
-    write_corpus,
 )
 from callseg.errors import (
     DataError,
@@ -34,6 +34,8 @@ from callseg.errors import (
     SplitLeakError,
 )
 from callseg.features import load_features
+from callseg.synth import synth_call
+from tests.conftest import tree_digest
 
 
 def call(call_id="c1", agent="a1", gender="female", duration=120.0):
@@ -112,34 +114,31 @@ class TestConsistency:
 
 class TestCutUtterances:
     def test_65_seconds_gives_6(self):
-        utts = cut_utterances(np.zeros(65 * 8000), "s", 0)
-        assert len(utts) == 6
+        assert len(cut_utterances(np.zeros(65 * 8000))) == 6
 
     def test_below_window_gives_none(self):
-        assert cut_utterances(np.zeros(9 * 8000), "s", 0) == []
+        assert cut_utterances(np.zeros(9 * 8000)) == []
 
     def test_exact_tiling(self):
         samples = np.arange(160000, dtype=np.float64) / 160000
-        utts = cut_utterances(samples, "s", 3)
+        utts = cut_utterances(samples)
         assert len(utts) == 2
-        npt.assert_array_equal(utts[0].samples, samples[:80000])
-        npt.assert_array_equal(utts[1].samples, samples[80000:])
-        assert [u.utterance_index for u in utts] == [0, 1]
-        assert all(u.class_label == 3 for u in utts)
+        npt.assert_array_equal(utts[0], samples[:80000])
+        npt.assert_array_equal(utts[1], samples[80000:])
+        assert all(np.shares_memory(u, samples) for u in utts)
 
     def test_duration_accounting(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             n = int(rng.integers(0, 300000))
-            utts = cut_utterances(np.zeros(n), "s", 0)
-            covered = sum(len(u.samples) for u in utts)
+            covered = sum(len(u) for u in cut_utterances(np.zeros(n)))
             assert covered <= n
             assert n - covered < 80000
 
     def test_custom_length(self):
-        utts = cut_utterances(np.zeros(50000), "s", 0, seconds=2.5)
+        utts = cut_utterances(np.zeros(50000), seconds=2.5)
         assert len(utts) == 2
-        assert len(utts[0].samples) == 20000
+        assert len(utts[0]) == 20000
 
 
 def test_two_class_label_is_four_class_halved():
@@ -151,32 +150,31 @@ def test_two_class_label_is_four_class_halved():
             assert label // 2 == (0 if role == "customer" else 1)
 
 
+SPLIT = {"train": {"spk01", "spk02"}, "validation": {"spk03"}}
+
+
 class TestWriteCorpus:
-    def make_utterances(self):
+    def write(self, root, split=SPLIT):
         rng = np.random.default_rng(0)
-        out = []
-        for speaker, label, count in [("spk01", 2, 4), ("spk02", 1, 3), ("spk03", 0, 2)]:
-            for j in range(count):
-                out.extend(
-                    cut_utterances(0.1 * rng.standard_normal(80000), speaker, label, start_index=j)
-                )
-        return out
+        with CorpusWriter(root) as writer:
+            for speaker, label, count in [("spk01", 2, 4), ("spk02", 1, 3), ("spk03", 0, 2)]:
+                for _ in range(count):
+                    writer.add(speaker, label, 0.1 * rng.standard_normal(80000), 8000)
+            return writer.finish(split)
 
     def test_paths_follow_template(self, tmp_path):
         root = str(tmp_path / "corpus")
-        utts = self.make_utterances()
-        write_corpus(utts, {"train": {"spk01", "spk02"}, "validation": {"spk03"}}, root)
+        self.write(root)
         assert os.path.isfile(os.path.join(root, "train", "agent", "female", "spk01", "3.npy"))
         assert os.path.isfile(os.path.join(root, "train", "customer", "male", "spk02", "0.npy"))
         assert os.path.isfile(os.path.join(root, "validation", "customer", "female", "spk03", "1.npy"))
         values = load_features(os.path.join(root, "train", "agent", "female", "spk01", "0.npy"))
         assert values.shape == (96, 1000)
+        assert sorted(os.listdir(root)) == ["manifest.json", "train", "validation"]  # no staging
 
     def test_manifest_matches_tree(self, tmp_path):
         root = str(tmp_path / "corpus")
-        manifest = write_corpus(
-            self.make_utterances(), {"train": {"spk01", "spk02"}, "validation": {"spk03"}}, root
-        )
+        manifest = self.write(root)
         on_disk = sum(len(files) for _p, _d, files in os.walk(root) for f in [files])
         total = sum(manifest.splits[s]["utterances"] for s in manifest.splits)
         assert total == 9
@@ -186,34 +184,26 @@ class TestWriteCorpus:
         assert train["classes"]["agent"]["genders"]["female"]["utterances"] == 4
 
     def test_idempotent_rerun(self, tmp_path):
-        import hashlib
-
-        def tree_digest(root):
-            digest = hashlib.sha256()
-            for dirpath, dirnames, filenames in sorted(os.walk(root)):
-                dirnames.sort()
-                for name in sorted(filenames):
-                    path = os.path.join(dirpath, name)
-                    digest.update(os.path.relpath(path, root).encode())
-                    digest.update(pathlib.Path(path).read_bytes())
-            return digest.hexdigest()
-
-        utts = self.make_utterances()
-        split = {"train": {"spk01", "spk02"}, "validation": {"spk03"}}
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        write_corpus(utts, split, a)
-        write_corpus(utts, split, b)
-        assert tree_digest(a) == tree_digest(b)
+        root, fresh = tmp_path / "corpus", tmp_path / "fresh"
+        self.write(str(root))
+        # a file the re-run must replace, in a speaker directory that already exists
+        (root / "train" / "agent" / "female" / "spk01" / "2.npy").write_bytes(b"stale")
+        self.write(str(root))
+        self.write(str(fresh))
+        assert tree_digest(root) == tree_digest(fresh)
 
     def test_split_leak_rejected(self, tmp_path):
+        root = tmp_path / "c"
         with pytest.raises(SplitLeakError):
-            write_corpus(self.make_utterances(),
-                         {"train": {"spk01", "spk02", "spk03"}, "validation": {"spk03"}},
-                         str(tmp_path / "c"))
+            self.write(str(root), {"train": {"spk01", "spk02", "spk03"}, "validation": {"spk03"}})
+        assert not root.exists()
 
     def test_unassigned_speaker_rejected(self, tmp_path):
+        root = tmp_path / "c"
+        root.mkdir()
         with pytest.raises(DataError):
-            write_corpus(self.make_utterances(), {"train": {"spk01"}}, str(tmp_path / "c"))
+            self.write(str(root), {"train": {"spk01"}})
+        assert list(root.iterdir()) == []  # an existing root keeps nothing of the failed run
 
 
 class TestCsvReaders:
@@ -261,6 +251,18 @@ class TestCsvReaders:
             read_calls_csv(str(path))
 
 
+class TestCallIds:
+    # an empty customer_id is filled in from the call_id
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("call_id", "agent_id", "customer_id")
+        for value in ("", ".", "..", "../../escaped", "a/b") if field != "customer_id" or value
+    ])
+    def test_id_that_is_not_a_directory_name_rejected(self, field, value):
+        ids = {"call_id": "c1", "agent_id": "a1", "customer_id": "c1.customer", field: value}
+        with pytest.raises(InputError, match=field):
+            CallMetadata(agent_gender="female", duration=120.0, **ids)
+
+
 class TestSegmentSamples:
     def test_segment_ending_at_last_sample_accepted(self):
         audio = AudioBuffer(np.arange(8000) / 8000, 8000)
@@ -281,12 +283,33 @@ class TestSegmentSamples:
 
     def test_prepare_corpus_rejects_segment_past_the_end(self, tmp_path):
         audio = AudioBuffer(np.zeros(12 * 8000), 8000)
-        segments = {"c1": [SegmentAnnotation(0, 6, "speech_female"),
+        good = [SegmentAnnotation(0, 6, "speech_female"), SegmentAnnotation(6, 12, "speech_male")]
+        segments = {"c0": good,
+                    "c1": [SegmentAnnotation(0, 6, "speech_female"),
                            SegmentAnnotation(100, 200, "speech_male")]}
         root = tmp_path / "corpus"
         with pytest.raises(InputError, match="ends after the audio"):
-            prepare_corpus([call()], segments, lambda _call: audio, str(root))
-        assert not root.exists()
+            # c0 stages its utterances before c1 fails
+            prepare_corpus([call(call_id="c0"), call()], segments, lambda _call: audio, str(root),
+                           utterance_seconds=2.0)
+        assert list(tmp_path.iterdir()) == []  # neither the root nor a staging tree is left
+
+
+def test_prepare_memory_does_not_grow_with_calls(tmp_path):
+    audio, segments, _truth = synth_call(5, turns=6, turn_seconds=11.0)  # 71 s, 6 utterances
+
+    def peak(copies):
+        calls = [call(call_id=f"c{i}", duration=audio.duration) for i in range(copies)]
+        tracemalloc.start()
+        try:
+            prepare_corpus(calls, {c.call_id: segments for c in calls}, lambda _call: audio,
+                           str(tmp_path / f"corpus{copies}"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4), peak(16)
+    assert large - small < 2**20, (small, large)
 
 
 CSV_FIELDS = st.one_of(

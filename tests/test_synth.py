@@ -1,7 +1,3 @@
-import hashlib
-import pathlib
-import os
-
 import numpy as np
 import pytest
 
@@ -10,20 +6,10 @@ from callseg.errors import ConfigError
 from callseg.features import log_mel_spectrogram
 from callseg.audio import AudioBuffer
 from callseg.synth import F0_BANDS, SynthSpec, speaker_voice, synth_call, synth_corpus, synth_speech
+from tests.conftest import tree_digest
 
 SMALL = SynthSpec(train_speakers_per_class=1, val_speakers_per_class=1,
                   utterances_per_speaker=2, utterance_seconds=1.0)
-
-
-def tree_digest(root):
-    digest = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = os.path.join(dirpath, name)
-            digest.update(os.path.relpath(path, root).encode())
-            digest.update(pathlib.Path(path).read_bytes())
-    return digest.hexdigest()
 
 
 def dominant_frequency(samples, rate=8000):
