@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import ChannelCountError, FormatError, NumericError, SampleRateError
+from .errors import ChannelCountError, FormatError, NumericError, SampleRateError, atomic_write
 
 DEFAULT_SAMPLE_RATE = 8000
 
@@ -86,4 +86,5 @@ def load_audio(path: str, expected_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuff
 def save_wav(path: str, buffer: AudioBuffer) -> None:
     """Write an AudioBuffer as 16-bit PCM WAV (used by the synthetic pipeline)."""
     scaled = np.clip(buffer.samples, -1.0, 1.0) * 32767.0
-    wavfile.write(path, buffer.sample_rate, scaled.astype(np.int16))
+    with atomic_write(path, "wb") as fh:
+        wavfile.write(fh, buffer.sample_rate, scaled.astype(np.int16))

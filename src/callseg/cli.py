@@ -17,7 +17,8 @@ import sys
 from .analyze import analyze_call
 from .audio import load_audio
 from .dbas import CorpusManifest, prepare_corpus, read_calls_csv, read_segments_csv
-from .errors import CallsegError, ConfigError, DataError, OutputPathError, read_json_object
+from .errors import (CallsegError, ConfigError, DataError, OutputPathError, atomic_write,
+                     read_json_object)
 from .features import load_features, log_mel_spectrogram, save_features
 from .metrics import confusion_to_csv, scores_to_json
 from .model import ModelConfig, build_crnn, label_names, load_checkpoint, save_checkpoint
@@ -55,10 +56,13 @@ def _check_output_paths(*paths, directory=False) -> None:
 
     With ``directory`` the paths name directory trees: each must be a
     directory already, or its nearest existing ancestor a writable one.
-    Commands call this before any work, so a typo fails fast; empty paths
-    are skipped.
+    Two paths naming the same file fail too, as one would overwrite the
+    other. Commands call this before any work, so a typo fails fast; empty
+    paths are skipped.
     """
-    for path in filter(None, paths):
+    paths = [path for path in paths if path]
+    real = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(paths):
         parent = path if directory else os.path.dirname(path) or "."
         while directory and not os.path.exists(parent):  # a tree gets its missing levels made
             parent = os.path.dirname(parent) or "."
@@ -66,6 +70,8 @@ def _check_output_paths(*paths, directory=False) -> None:
             raise OutputPathError(f"cannot write {path}: {parent} is not a writable directory")
         if not directory and os.path.isdir(path):
             raise OutputPathError(f"cannot write {path}: it is a directory")
+        if real[i] in real[:i]:
+            raise OutputPathError(f"cannot write {path}: it is the same file as another output")
 
 
 def _cmd_features(args) -> int:
@@ -188,8 +194,8 @@ def _cmd_train(args) -> int:
                     "model": model_config.to_dict(), "train": train_config.to_dict()})
     model = build_crnn(model_config, seed=train_config.seed)
     model, history = train(model, args.corpus, train_config)
-    save_checkpoint(model, args.out)
     history.save_csv(history_path)
+    save_checkpoint(model, args.out)  # last, so the file later commands read appears last
     print(
         f"trained {len(history)} epochs; best epoch {history.best_epoch} "
         f"val_acc {history.val_acc[history.best_epoch - 1]:.4f}; "
@@ -207,10 +213,10 @@ def _cmd_evaluate(args) -> int:
     names = label_names(model.config.n_classes)
     report = scores_to_json(result.confusion, names)
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(report + "\n")
     if args.confusion_csv:
-        with open(args.confusion_csv, "w") as fh:
+        with atomic_write(args.confusion_csv) as fh:
             fh.write(confusion_to_csv(result.confusion, names))
     print(report)
     print(f"loss {result.loss:.6f} accuracy {result.accuracy:.6f}")
@@ -228,10 +234,10 @@ def _cmd_analyze(args) -> int:
                             keep_window_probs=args.windows_csv is not None)
     report = analysis.to_json()
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(report + "\n")
     if args.windows_csv:
-        with open(args.windows_csv, "w") as fh:
+        with atomic_write(args.windows_csv) as fh:
             fh.write(analysis.windows_csv())
     print(report)
     return 0

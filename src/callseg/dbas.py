@@ -21,6 +21,7 @@ import json
 import math
 import os
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import (
     NoSpeechError,
     SingleGenderError,
     SplitLeakError,
+    atomic_write,
 )
 from .features import WINDOW, log_mel_spectrogram, save_features
 
@@ -267,7 +269,7 @@ class CorpusManifest:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_json() + "\n")
 
 
@@ -391,7 +393,8 @@ def prepare_corpus(
     calls: CallMetadata list; segments_by_call: call_id -> segment list;
     audio_loader: CallMetadata -> AudioBuffer. Per-call rejections are
     collected, not raised. Validation speakers are chosen by a seeded
-    shuffle of the retained speaker list. Bad numbers raise ConfigError first.
+    shuffle of the retained speaker list. Bad numbers raise ConfigError and a
+    repeated call_id InputError, before anything is written.
     """
     if not 0.0 <= val_fraction <= 1.0:
         raise ConfigError(f"validation fraction must be in [0, 1], got {val_fraction}")
@@ -399,6 +402,9 @@ def prepare_corpus(
         raise ConfigError(f"utterance length must be positive and finite, got {utterance_seconds}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    repeated = sorted(i for i, n in Counter(c.call_id for c in calls).items() if n > 1)
+    if repeated:
+        raise InputError(f"call_id repeated in the call list: {', '.join(repeated)}")
     rejections = []
     kept = []
     accepted_ids = {c.call_id for c in filter_calls(calls)}

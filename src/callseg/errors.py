@@ -1,12 +1,14 @@
-"""Exception types shared across the package, and the JSON config checks that raise them.
+"""Exception types, the JSON config checks that raise them, and the writer of every output file.
 
 Everything raised on purpose derives from CallsegError, so callers (and the
 CLI) can distinguish bad input from genuine bugs.
 """
 
+import contextlib
 import dataclasses
 import json
 import numbers
+import os
 
 
 class CallsegError(Exception):
@@ -115,6 +117,20 @@ def read_json_object(path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(value).__name__}")
     return value
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """A handle on ``<path>.<pid>.tmp``, renamed over ``path`` on success and removed on error."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
-from .errors import FormatError, ShapeError, TooShortError
+from .errors import FormatError, ShapeError, TooShortError, atomic_write
 
 N_MELS = 96
 WINDOW = 200
@@ -105,7 +105,7 @@ def log_mel_spectrogram(buffer: AudioBuffer) -> MelSpectrogram:
 def save_features(path: str, values: np.ndarray) -> None:
     """Write a feature array as a version-1.0 NPY file, float32 C-order."""
     arr = np.ascontiguousarray(np.asarray(values), dtype="<f4")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         np.lib.format.write_array(fh, arr, version=(1, 0))
 
 

@@ -21,16 +21,15 @@ layers as 42 time steps of 32 features.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
+import math
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, JsonConfig, ShapeError, StateError
+from .errors import CheckpointError, ConfigError, JsonConfig, ShapeError, StateError, atomic_write
 from .layers import (
     Activation,
     Conv2d,
@@ -302,21 +301,12 @@ def save_checkpoint(model: CrnnModel, path: str) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes() for _n, arr in named)
-    # written under a temporary name in the target directory and renamed over
-    # the target when complete, so a failed save leaves the old file as it was
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(blob)
-            fh.write(struct.pack("<I", zlib.crc32(blob)))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(_CKPT_MAGIC)
+        fh.write(struct.pack("<I", len(header_bytes)))
+        fh.write(header_bytes)
+        fh.write(blob)
+        fh.write(struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_checkpoint(path: str, dtype=np.float32) -> CrnnModel:
@@ -369,4 +359,8 @@ def load_checkpoint(path: str, dtype=np.float32) -> CrnnModel:
         model.normalization = None if norm is None else (float(norm["mean"]), float(norm["std"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad normalization {norm!r}") from exc
+    mean, std = model.normalization or (0.0, 1.0)
+    if not (math.isfinite(mean) and 0.0 < std < math.inf):
+        raise CheckpointError(f"{path}: normalization needs a finite mean and a finite std > 0, "
+                              f"got {norm!r}")
     return model

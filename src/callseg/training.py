@@ -18,6 +18,7 @@ import numpy as np
 from .dbas import GENDERS, ROLES, class_label_of
 from .errors import (
     ConfigError, DataError, DivergenceError, JsonConfig, LayoutError, NumericError, ShapeError,
+    atomic_write,
 )
 from .features import load_features
 from .layers import cross_entropy
@@ -119,7 +120,7 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_csv())
 
 

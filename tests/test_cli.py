@@ -10,6 +10,7 @@ from callseg.cli import main
 from callseg.features import load_features
 from callseg.model import load_checkpoint
 from callseg.synth import SynthSpec, speaker_voice, synth_speech
+from callseg.training import TrainHistory
 from tests.conftest import rewrite_checkpoint_header, tree_digest, write_tone_wav
 
 
@@ -369,6 +370,8 @@ class TestOutputPathsCheckedFirst:
     def target(self, tmp_path, where):
         if where == "missing directory":
             return str(tmp_path / "nodir" / "out.txt")
+        if where == "same as --out":  # spelled differently from the --out path
+            return os.path.join(str(tmp_path), ".", "out.txt")
         blocker = tmp_path / "plain.txt"
         blocker.write_text("a regular file\n")
         return str(blocker / "out.txt")
@@ -378,6 +381,8 @@ class TestOutputPathsCheckedFirst:
         ("analyze", "--windows-csv", "regular file"),
         ("evaluate", "--out", "regular file"),
         ("evaluate", "--confusion-csv", "missing directory"),
+        ("analyze", "--windows-csv", "same as --out"),
+        ("evaluate", "--confusion-csv", "same as --out"),
     ])
     def test_unwritable_output_exits_2(self, capsys, monkeypatch, tmp_path, cli_corpus,
                                        command, flag, where):
@@ -391,6 +396,8 @@ class TestOutputPathsCheckedFirst:
             inputs = ["--wav", wav, "--segments", segments]
         else:
             inputs = ["--corpus", cli_corpus["corpus"]]
+        if where == "same as --out":
+            inputs += ["--out", str(tmp_path / "out.txt")]
         code, stdout, err = run_cli(capsys, command, *inputs, "--model", cli_corpus["ckpt"],
                                     flag, target)
         assert code == 2
@@ -401,13 +408,15 @@ class TestOutputPathsCheckedFirst:
     @pytest.mark.parametrize("flag, where", [
         ("--out", "missing directory"),
         ("--history", "regular file"),
+        ("--history", "same as --out"),
     ])
     def test_train_output_checked_before_training(self, capsys, monkeypatch, tmp_path,
                                                   cli_corpus, flag, where):
         monkeypatch.setattr("callseg.cli.train",
                             lambda *a: pytest.fail("trained before the output path was checked"))
         target = self.target(tmp_path, where)
-        outputs = {"--out": str(tmp_path / "m.ckpt"), flag: target}
+        outputs = {"--out": str(tmp_path / ("out.txt" if where == "same as --out" else "m.ckpt")),
+                   flag: target}
         code, stdout, err = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"],
                                     *(arg for pair in outputs.items() for arg in pair))
         assert code == 2
@@ -452,6 +461,58 @@ class TestOutputPathsCheckedFirst:
         spec = write_spec(tmp_path / "spec.json")
         code, _, _ = run_cli(capsys, "synth", "--spec", spec, "--seed", "1", "--out", str(out))
         assert code == 0 and (out / "manifest.json").is_file()
+
+
+class TestFailedWritesKeepOldFiles:
+    """A write that fails once its temporary file is complete leaves the old file as it was."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("features", "--out"),
+        ("analyze", "--out"),
+        ("analyze", "--windows-csv"),
+        ("evaluate", "--out"),
+        ("evaluate", "--confusion-csv"),
+    ])
+    def test_failed_write_leaves_old_file(self, capsys, monkeypatch, tmp_path, cli_corpus,
+                                          tone_wav, command, flag):
+        wav, segments = TestAnalyzeCommand().make_call_files(tmp_path)
+        inputs = {
+            "features": ["--in", tone_wav],
+            "analyze": ["--wav", wav, "--segments", segments, "--model", cli_corpus["ckpt"]],
+            "evaluate": ["--corpus", cli_corpus["corpus"], "--model", cli_corpus["ckpt"]],
+        }[command]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        target = out_dir / "old.txt"
+        target.write_bytes(b"old bytes\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, _, err = run_cli(capsys, command, *inputs, flag, str(target))
+        assert code != 0 and "disk full" in err
+        assert target.read_bytes() == b"old bytes\n"
+        assert os.listdir(out_dir) == ["old.txt"]
+
+    def test_train_writes_the_checkpoint_last(self, capsys, monkeypatch, tmp_path, cli_corpus):
+        monkeypatch.setattr("callseg.cli.train", lambda model, *a: (
+            model, TrainHistory([1.0], [0.5], [1.0], [0.5], 1)))
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst.endswith(".history.csv"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"],
+                               "--out", str(out / "m.ckpt"), "--filters", "2,2,2,2",
+                               "--hidden", "3,3")
+        assert code != 0 and "disk full" in err
+        assert os.listdir(out) == []  # no checkpoint without its history
 
 
 class TestPrepareCommand:
@@ -561,6 +622,24 @@ class TestPrepareCommand:
                                "--utterance-seconds", "2", flag, value)
         assert code == 2
         assert needle in err
+        assert not out.exists()
+
+    def test_repeated_call_id_exits_2_before_writing(self, capsys, tmp_path):
+        for name in ("a", "b"):
+            save_wav(str(tmp_path / f"{name}.wav"), AudioBuffer(np.zeros(12 * 8000), 8000))
+        (tmp_path / "dup.csv").write_text("start,end,label\n0,6,speech_female\n6,12,speech_male\n")
+        calls = tmp_path / "calls.csv"
+        calls.write_text(
+            "call_id,agent_id,agent_gender,duration,audio_path\n"
+            "dup,agentX,female,120,a.wav\n"
+            "dup,agentY,male,120,b.wav\n"
+        )
+        out = tmp_path / "corpus"
+        code, _, err = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",
+                               str(calls), "--audio", str(tmp_path), "--out", str(out),
+                               "--utterance-seconds", "2")
+        assert code == 2
+        assert "call_id repeated" in err and "dup" in err
         assert not out.exists()
 
     def test_missing_calls_file_exits_2(self, capsys, tmp_path):

@@ -295,6 +295,20 @@ class TestSegmentSamples:
         assert list(tmp_path.iterdir()) == []  # neither the root nor a staging tree is left
 
 
+def test_prepare_corpus_rejects_repeated_call_id(tmp_path):
+    good = [SegmentAnnotation(0, 6, "speech_female"), SegmentAnnotation(6, 12, "speech_male")]
+
+    def loader(_call):
+        pytest.fail("audio was read before the call ids were checked")
+
+    root = tmp_path / "corpus"
+    with pytest.raises(InputError, match="call_id repeated in the call list: dup"):
+        prepare_corpus([call(call_id="dup", agent="a1"), call(call_id="ok", agent="a2"),
+                        call(call_id="dup", agent="a3", gender="male")],
+                       {"dup": good, "ok": good}, loader, str(root), utterance_seconds=2.0)
+    assert not root.exists()
+
+
 def test_prepare_memory_does_not_grow_with_calls(tmp_path):
     audio, segments, _truth = synth_call(5, turns=6, turn_seconds=11.0)  # 71 s, 6 utterances
 

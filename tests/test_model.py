@@ -254,6 +254,10 @@ def with_config(**changes):
     return lambda h: {**h, "config": {**h["config"], **changes}}
 
 
+def with_normalization(mean=1.5, std=1.5):
+    return lambda h: {**h, "normalization": {"mean": mean, "std": std}}
+
+
 HEADER_DAMAGE = {
     "no_config": without("config"),
     "unknown_config_key": with_config(shuffle=True),
@@ -265,6 +269,11 @@ HEADER_DAMAGE = {
     "normalization_without_mean": lambda h: {**h, "normalization": {"std": 1.5}},
     "normalization_without_std": lambda h: {**h, "normalization": {"mean": 1.5}},
     "normalization_not_object": lambda h: {**h, "normalization": [1.5, 2.0]},
+    "normalization_std_zero": with_normalization(std=0.0),
+    "normalization_std_nan": with_normalization(std=float("nan")),
+    "normalization_std_negative": with_normalization(std=-1.0),
+    "normalization_std_inf": with_normalization(std=float("inf")),
+    "normalization_mean_nan": with_normalization(mean=float("nan")),
     "header_not_object": lambda h: [h],
 }
 
