@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,9 +198,12 @@ class SpeakerReport:
     slot: int
     gender: str
     talk_time: float
-    no_windows: bool
-    verdict: SpeakerVerdict | None
-    window_probs: list = field(default_factory=list)
+    verdict: SpeakerVerdict | None  # None when the stream is shorter than one window
+    window_probs: list  # one (K,) probability array per window, in window order
+
+    @property
+    def no_windows(self) -> bool:
+        return self.verdict is None
 
 
 @dataclass
@@ -256,9 +259,8 @@ def analyze_call(
     segments,
     model: CrnnModel,
     shift_seconds: float = 1.0,
-    keep_window_probs: bool = False,
 ) -> CallAnalysis:
-    """Classify every speaker in a call and report aggregated verdicts.
+    """Classify every speaker in a call: aggregated verdicts and every window's probabilities.
 
     Streams shorter than one window get a no-windows report entry instead
     of a padded classification. A shift under one sample raises ConfigError.
@@ -273,27 +275,9 @@ def analyze_call(
 
     reports = []
     for stream in streams:
-        talk_time = stream.duration
         probs = _window_probs(model, stream.samples, stream.sample_rate, window, shift)
-        if probs:
-            verdict = aggregate_speaker(probs)
-            reports.append(
-                SpeakerReport(
-                    slot=stream.slot,
-                    gender=stream.gender,
-                    talk_time=talk_time,
-                    no_windows=False,
-                    verdict=verdict,
-                    window_probs=[np.asarray(p) for p in probs] if keep_window_probs else [],
-                )
-            )
-        else:
-            reports.append(
-                SpeakerReport(
-                    slot=stream.slot, gender=stream.gender, talk_time=talk_time,
-                    no_windows=True, verdict=None,
-                )
-            )
+        verdict = aggregate_speaker(probs) if probs else None
+        reports.append(SpeakerReport(stream.slot, stream.gender, stream.duration, verdict, probs))
     return CallAnalysis(
         speakers=reports,
         window_seconds=window / audio.sample_rate,

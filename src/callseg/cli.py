@@ -51,17 +51,19 @@ def _blas_threads():
     return None
 
 
-def _check_output_paths(*paths, directory=False) -> None:
+def _check_output_paths(*paths, directory=False, inputs=()) -> None:
     """OutputPathError unless every given path names a file its directory lets us create.
 
     With ``directory`` the paths name directory trees: each must be a
     directory already, or its nearest existing ancestor a writable one.
     Two paths naming the same file fail too, as one would overwrite the
-    other. Commands call this before any work, so a typo fails fast; empty
+    other, and so does a path naming one of the command's ``inputs``.
+    Commands call this before any work, so a typo fails fast; empty
     paths are skipped.
     """
     paths = [path for path in paths if path]
     real = [os.path.realpath(path) for path in paths]
+    read = {os.path.realpath(path) for path in inputs if path}
     for i, path in enumerate(paths):
         parent = path if directory else os.path.dirname(path) or "."
         while directory and not os.path.exists(parent):  # a tree gets its missing levels made
@@ -72,11 +74,13 @@ def _check_output_paths(*paths, directory=False) -> None:
             raise OutputPathError(f"cannot write {path}: it is a directory")
         if real[i] in real[:i]:
             raise OutputPathError(f"cannot write {path}: it is the same file as another output")
+        if real[i] in read:
+            raise OutputPathError(f"cannot write {path}: it is an input of this command")
 
 
 def _cmd_features(args) -> int:
     _echo("features", {"in": args.wav, "out": args.out, "rate": args.rate})
-    _check_output_paths(args.out)
+    _check_output_paths(args.out, inputs=[args.wav])
     buffer = load_audio(args.wav, expected_rate=args.rate)
     spec = log_mel_spectrogram(buffer)
     save_features(args.out, spec.values)
@@ -187,7 +191,7 @@ def _resolve_train_config(args):
 
 def _cmd_train(args) -> int:
     history_path = args.history or args.out + ".history.csv"
-    _check_output_paths(args.out, history_path)
+    _check_output_paths(args.out, history_path, inputs=[args.config])
     model_config, train_config = _resolve_train_config(args)
     # BLAS sums a batch inside its GEMMs, so the thread count is part of what a seed reproduces
     _echo("train", {"corpus": args.corpus, "out": args.out, "blas_threads": _blas_threads(),
@@ -207,7 +211,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     _echo("evaluate", {"corpus": args.corpus, "split": args.split, "model": args.model,
                        "out": args.out, "confusion_csv": args.confusion_csv})
-    _check_output_paths(args.out, args.confusion_csv)
+    _check_output_paths(args.out, args.confusion_csv, inputs=[args.model])
     model = load_checkpoint(args.model)
     result = evaluate(model, args.corpus, args.split)
     names = label_names(model.config.n_classes)
@@ -226,12 +230,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_analyze(args) -> int:
     _echo("analyze", {"wav": args.wav, "segments": args.segments, "model": args.model,
                       "out": args.out, "shift": args.shift})
-    _check_output_paths(args.out, args.windows_csv)
+    _check_output_paths(args.out, args.windows_csv,
+                        inputs=[args.model, args.wav, args.segments])
     model = load_checkpoint(args.model)
     audio = load_audio(args.wav)
     segments = read_segments_csv(args.segments)
-    analysis = analyze_call(audio, segments, model, shift_seconds=args.shift,
-                            keep_window_probs=args.windows_csv is not None)
+    analysis = analyze_call(audio, segments, model, shift_seconds=args.shift)
     report = analysis.to_json()
     if args.out:
         with atomic_write(args.out) as fh:

@@ -335,13 +335,9 @@ class CorpusWriter:
             for label, count in labels.items():
                 source = _leaf(self.staging, speaker, label)
                 target = _leaf(os.path.join(self.root, split), speaker, label)
-                if not os.path.isdir(os.path.dirname(target)):
-                    os.makedirs(os.path.dirname(target))
-                if os.path.exists(target):
-                    for name in os.listdir(source):
-                        os.replace(os.path.join(source, name), os.path.join(target, name))
-                else:
-                    os.rename(source, target)
+                os.makedirs(target, exist_ok=True)
+                for name in os.listdir(source):
+                    os.replace(os.path.join(source, name), os.path.join(target, name))
                 node = splits.setdefault(split, {"speakers": set(), "utterances": 0, "classes": {}})
                 cls = node["classes"].setdefault(
                     role_of(label), {"speakers": set(), "utterances": 0, "genders": {}}

@@ -286,17 +286,34 @@ def build_crnn(config: ModelConfig, seed: int, dtype=np.float32) -> CrnnModel:
 # ---------------------------------------------------------------------------
 # checkpoint container: magic, JSON header, raw <f4 blocks, CRC-32 of blocks
 
+def _normalization(norm, path: str):
+    """A header's ``{"mean", "std"}`` entry as a (mean, std) pair, or None for None.
+
+    CheckpointError unless the mean is finite and the std finite and > 0.
+    """
+    if norm is None:
+        return None
+    try:
+        mean, std = float(norm["mean"]), float(norm["std"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad normalization {norm!r}") from exc
+    if not (math.isfinite(mean) and 0.0 < std < math.inf):
+        raise CheckpointError(f"{path}: normalization needs a finite mean and a finite std > 0, "
+                              f"got {norm!r}")
+    return mean, std
+
+
 def save_checkpoint(model: CrnnModel, path: str) -> None:
+    """Write ``model`` to ``path``; a normalization load would reject raises CheckpointError first."""
+    norm = (None if model.normalization is None
+            else {"mean": float(model.normalization[0]), "std": float(model.normalization[1])})
+    _normalization(norm, path)
     named = model.named_params()
     header = {
         "format_version": 1,
         "config": model.config.to_dict(),
         "label_convention": {str(i): n for i, n in enumerate(label_names(model.config.n_classes))},
-        "normalization": (
-            None
-            if model.normalization is None
-            else {"mean": float(model.normalization[0]), "std": float(model.normalization[1])}
-        ),
+        "normalization": norm,
         "params": [[name, list(arr.shape)] for name, arr in named],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -354,13 +371,5 @@ def load_checkpoint(path: str, dtype=np.float32) -> CrnnModel:
         offset += arr.size * 4
     model.set_params(arrays)
 
-    norm = header.get("normalization")
-    try:
-        model.normalization = None if norm is None else (float(norm["mean"]), float(norm["std"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad normalization {norm!r}") from exc
-    mean, std = model.normalization or (0.0, 1.0)
-    if not (math.isfinite(mean) and 0.0 < std < math.inf):
-        raise CheckpointError(f"{path}: normalization needs a finite mean and a finite std > 0, "
-                              f"got {norm!r}")
+    model.normalization = _normalization(header.get("normalization"), path)
     return model

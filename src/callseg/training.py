@@ -145,24 +145,26 @@ def micro_batch_size(model: CrnnModel) -> int:
     return max(1, BATCH_BYTES // model.cache_bytes())
 
 
-def _stack_features(model, items):
-    """The feature files of ``items`` as one (N, H, W) batch; another shape raises ShapeError."""
-    batch = np.empty((len(items), *model.config.input_shape), dtype=np.float32)
-    for row, item in zip(batch, items):
-        values = load_features(item.path)
-        if values.shape != row.shape:
-            raise ShapeError(f"{item.path}: features shape {values.shape} does not match "
-                             f"model input {row.shape}")
-        row[...] = values
-    return batch
+def _passes(model, items, labels, order):
+    """(N, H, W) features and labels of ``items[order]``, micro_batch_size(model) at a time."""
+    step = micro_batch_size(model)
+    for start in range(0, len(order), step):
+        indices = order[start : start + step]
+        batch = np.empty((len(indices), *model.config.input_shape), dtype=np.float32)
+        for row, i in zip(batch, indices):
+            values = load_features(items[i].path)
+            if values.shape != row.shape:
+                raise ShapeError(f"{items[i].path}: features shape {values.shape} does not match "
+                                 f"model input {row.shape}")
+            row[...] = values
+        yield batch, labels[indices]
 
 
 def _eval_items(model, items, labels):
-    step = micro_batch_size(model)
     losses, preds = [], []
-    for start in range(0, len(items), step):
-        probs = model.forward(_stack_features(model, items[start : start + step]))
-        losses.append(cross_entropy(probs, labels[start : start + step]))
+    for features, part in _passes(model, items, labels, np.arange(len(items))):
+        probs = model.forward(features)
+        losses.append(cross_entropy(probs, part))
         preds.append(np.argmax(probs, axis=1))
     preds = np.concatenate(preds)
     cm = confusion(preds, labels, model.config.n_classes)
@@ -195,7 +197,6 @@ def train(model: CrnnModel, corpus_root: str, config: TrainConfig):
     history = TrainHistory()
     best_acc, best_params, since_improve = -1.0, None, 0
 
-    step = micro_batch_size(model)
     for epoch in range(1, config.max_epochs + 1):
         order = np.arange(len(train_items))
         np.random.default_rng(config.seed + epoch).shuffle(order)
@@ -204,10 +205,7 @@ def train(model: CrnnModel, corpus_root: str, config: TrainConfig):
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             model.zero_grads()
-            for part in range(0, len(batch), step):
-                indices = batch[part : part + step]
-                features = _stack_features(model, [train_items[i] for i in indices])
-                labels = train_labels[indices]
+            for features, labels in _passes(model, train_items, train_labels, batch):
                 try:
                     probs = model.forward(features, training=True, rng=dropout_rng)
                     losses = cross_entropy(probs, labels)
@@ -215,10 +213,6 @@ def train(model: CrnnModel, corpus_root: str, config: TrainConfig):
                     raise DivergenceError(
                         f"non-finite values at epoch {epoch}, batch {start // config.batch_size}"
                     ) from exc
-                if not np.all(np.isfinite(losses)):
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-                    )
                 epoch_loss += float(losses.sum())
                 epoch_correct += int(np.sum(np.argmax(probs, axis=1) == labels))
                 model.backward(labels)

@@ -197,7 +197,7 @@ class TestAnalyzeCall:
         rng = np.random.default_rng(4)
         audio = AudioBuffer(0.1 * rng.standard_normal(2 * RATE), RATE)
         segments = [seg(0, 1, "speech_female"), seg(1, 2, "speech_male")]
-        analysis = analyze_call(audio, segments, fast_model, keep_window_probs=True)
+        analysis = analyze_call(audio, segments, fast_model)
         payload = analysis.to_dict()
         entry = payload["speakers"][0]
         assert set(entry) >= {"slot", "gender", "talk_time_seconds", "window_count",
@@ -227,7 +227,7 @@ def assert_matches_oracle(model, samples, shift_seconds):
     """analyze_call's window probabilities equal the oracle's bit for bit; returns the count."""
     audio = AudioBuffer(samples, RATE)
     analysis = analyze_call(audio, [seg(0, audio.duration, "speech_female")], model,
-                            shift_seconds, keep_window_probs=True)
+                            shift_seconds)
     got = analysis.speakers[0].window_probs
     want = oracle_window_probs(model, samples, RATE, round(shift_seconds * RATE))
     assert len(got) == len(want)

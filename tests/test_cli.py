@@ -432,6 +432,40 @@ class TestOutputPathsCheckedFirst:
         assert code == 2
         assert f"cannot write {target}" in err
 
+    @pytest.mark.parametrize("command, flag, source", [
+        ("features", "--out", "--in"),
+        ("evaluate", "--out", "--model"),
+        ("evaluate", "--confusion-csv", "--model"),
+        ("analyze", "--out", "--model"),
+        ("analyze", "--windows-csv", "--wav"),
+        ("analyze", "--out", "--segments"),
+        ("train", "--out", "--config"),
+        ("train", "--history", "--config"),
+    ])
+    def test_output_naming_an_input_exits_2(self, capsys, monkeypatch, tmp_path, cli_corpus,
+                                            tone_wav, command, flag, source):
+        for name in ("load_audio", "load_checkpoint", "train"):
+            monkeypatch.setattr(f"callseg.cli.{name}", lambda *a, name=name, **k: pytest.fail(
+                f"{name} ran before the outputs were checked"))
+        wav, segments = TestAnalyzeCommand().make_call_files(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text('{"train": {"seed": 1}}')
+        args = {
+            "features": {"--in": tone_wav},
+            "evaluate": {"--corpus": cli_corpus["corpus"], "--model": cli_corpus["ckpt"]},
+            "analyze": {"--wav": wav, "--segments": segments, "--model": cli_corpus["ckpt"]},
+            "train": {"--corpus": cli_corpus["corpus"], "--out": str(tmp_path / "m.ckpt"),
+                      "--config": str(config)},
+        }[command]
+        before = Path(args[source]).read_bytes()
+        target = os.path.join(os.path.dirname(args[source]), ".",  # spelled differently
+                              os.path.basename(args[source]))
+        args[flag] = target
+        code, _, err = run_cli(capsys, command, *(arg for pair in args.items() for arg in pair))
+        assert code == 2
+        assert f"cannot write {target}: it is an input" in err
+        assert Path(args[source]).read_bytes() == before
+
     def test_synth_out_naming_a_file_exits_2(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("callseg.cli.synth_corpus",
                             lambda *a: pytest.fail("synthesized before checking --out"))

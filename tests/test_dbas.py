@@ -151,13 +151,14 @@ def test_two_class_label_is_four_class_halved():
 
 
 SPLIT = {"train": {"spk01", "spk02"}, "validation": {"spk03"}}
+SPEAKERS = [("spk01", 2, 4), ("spk02", 1, 3), ("spk03", 0, 2)]  # (speaker, label, utterances)
 
 
 class TestWriteCorpus:
-    def write(self, root, split=SPLIT):
+    def write(self, root, split=SPLIT, speakers=SPEAKERS):
         rng = np.random.default_rng(0)
         with CorpusWriter(root) as writer:
-            for speaker, label, count in [("spk01", 2, 4), ("spk02", 1, 3), ("spk03", 0, 2)]:
+            for speaker, label, count in speakers:
                 for _ in range(count):
                     writer.add(speaker, label, 0.1 * rng.standard_normal(80000), 8000)
             return writer.finish(split)
@@ -190,6 +191,15 @@ class TestWriteCorpus:
         (root / "train" / "agent" / "female" / "spk01" / "2.npy").write_bytes(b"stale")
         self.write(str(root))
         self.write(str(fresh))
+        assert tree_digest(root) == tree_digest(fresh)
+
+    def test_rerun_adds_a_speaker_beside_existing_ones(self, tmp_path):
+        root, fresh = tmp_path / "corpus", tmp_path / "fresh"
+        speakers = [*SPEAKERS, ("spk04", 2, 2)]  # a second female agent, beside spk01
+        split = {"train": {"spk01", "spk02", "spk04"}, "validation": {"spk03"}}
+        self.write(str(root))
+        self.write(str(root), split, speakers)
+        self.write(str(fresh), split, speakers)
         assert tree_digest(root) == tree_digest(fresh)
 
     def test_split_leak_rejected(self, tmp_path):

@@ -239,6 +239,19 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
+    @pytest.mark.parametrize("normalization", [(0.0, 0.0), (float("nan"), 1.0),
+                                               (0.0, float("inf"))])
+    def test_save_refuses_what_load_rejects(self, tmp_path, normalization):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(seed=1), str(path))
+        before = path.read_bytes()
+        model = tiny_model(seed=2)
+        model.normalization = normalization
+        with pytest.raises(CheckpointError, match="normalization needs"):
+            save_checkpoint(model, str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"not a checkpoint at all")
