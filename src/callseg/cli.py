@@ -3,7 +3,9 @@
 One binary, six subcommands: features, prepare, synth, train, evaluate,
 analyze. Exit codes: 0 success, 1 internal failure, 2 invalid input or
 configuration. Every command echoes its effective configuration as a JSON
-line so a run can be reproduced exactly.
+line so a run can be reproduced exactly. Printed lines are best-effort: a
+closed stdout or stderr silences them but does not change the work or the
+exit code.
 """
 
 from __future__ import annotations
@@ -26,8 +28,21 @@ from .synth import SynthSpec, synth_corpus
 from .training import TrainConfig, evaluate, scan_corpus, train
 
 
+def _say(line: str, err: bool = False) -> None:
+    """Print a line to stdout (stderr with ``err``), best-effort.
+
+    A closed stream is replaced by None, which print and the exit-time flush
+    skip, so the command still finishes its work and exits with its code.
+    """
+    name = "stderr" if err else "stdout"
+    try:
+        print(line, file=getattr(sys, name), flush=True)
+    except BrokenPipeError:
+        setattr(sys, name, None)
+
+
 def _echo(command: str, payload: dict) -> None:
-    print(json.dumps({"command": command, "effective_config": payload}, sort_keys=True))
+    _say(json.dumps({"command": command, "effective_config": payload}, sort_keys=True))
 
 
 def _blas_threads():
@@ -84,7 +99,7 @@ def _cmd_features(args) -> int:
     buffer = load_audio(args.wav, expected_rate=args.rate)
     spec = log_mel_spectrogram(buffer)
     save_features(args.out, spec.values)
-    print(f"wrote {args.out} shape {spec.values.shape}")
+    _say(f"wrote {args.out} shape {spec.values.shape}")
     return 0
 
 
@@ -109,11 +124,11 @@ def _cmd_prepare(args) -> int:
         utterance_seconds=args.utterance_seconds,
     )
     for call_id, reason in result.rejections:
-        print(f"rejected {call_id}: {reason}")
+        _say(f"rejected {call_id}: {reason}")
     for speaker in sorted(result.dropped_speakers):
-        print(f"dropped speaker {speaker}: inconsistent gender labels")
+        _say(f"dropped speaker {speaker}: inconsistent gender labels")
     if result.manifest is None:
-        print("no utterances produced")
+        _say("no utterances produced")
         return 0
     _print_manifest(result.manifest)
     return 0
@@ -122,14 +137,14 @@ def _cmd_prepare(args) -> int:
 def _print_manifest(manifest: CorpusManifest) -> None:
     for split in sorted(manifest.splits):
         node = manifest.splits[split]
-        print(f"{split}: {node['speakers']} speakers, {node['utterances']} utterances")
+        _say(f"{split}: {node['speakers']} speakers, {node['utterances']} utterances")
         for role in sorted(node["classes"]):
             cls = node["classes"][role]
             genders = ", ".join(
                 f"{g}: {v['speakers']}-{v['utterances']}"
                 for g, v in sorted(cls["genders"].items())
             )
-            print(f"  {role}: {cls['speakers']} speakers, {cls['utterances']} utterances ({genders})")
+            _say(f"  {role}: {cls['speakers']} speakers, {cls['utterances']} utterances ({genders})")
 
 
 def _cmd_synth(args) -> int:
@@ -194,13 +209,14 @@ def _cmd_train(args) -> int:
     _check_output_paths(args.out, history_path, inputs=[args.config])
     model_config, train_config = _resolve_train_config(args)
     # BLAS sums a batch inside its GEMMs, so the thread count is part of what a seed reproduces
-    _echo("train", {"corpus": args.corpus, "out": args.out, "blas_threads": _blas_threads(),
-                    "model": model_config.to_dict(), "train": train_config.to_dict()})
+    _echo("train", {"corpus": args.corpus, "out": args.out, "history": history_path,
+                    "blas_threads": _blas_threads(), "model": model_config.to_dict(),
+                    "train": train_config.to_dict()})
     model = build_crnn(model_config, seed=train_config.seed)
     model, history = train(model, args.corpus, train_config)
     history.save_csv(history_path)
     save_checkpoint(model, args.out)  # last, so the file later commands read appears last
-    print(
+    _say(
         f"trained {len(history)} epochs; best epoch {history.best_epoch} "
         f"val_acc {history.val_acc[history.best_epoch - 1]:.4f}; "
         f"checkpoint {args.out}; history {history_path}"
@@ -222,14 +238,14 @@ def _cmd_evaluate(args) -> int:
     if args.confusion_csv:
         with atomic_write(args.confusion_csv) as fh:
             fh.write(confusion_to_csv(result.confusion, names))
-    print(report)
-    print(f"loss {result.loss:.6f} accuracy {result.accuracy:.6f}")
+    _say(report)
+    _say(f"loss {result.loss:.6f} accuracy {result.accuracy:.6f}")
     return 0
 
 
 def _cmd_analyze(args) -> int:
     _echo("analyze", {"wav": args.wav, "segments": args.segments, "model": args.model,
-                      "out": args.out, "shift": args.shift})
+                      "out": args.out, "windows_csv": args.windows_csv, "shift": args.shift})
     _check_output_paths(args.out, args.windows_csv,
                         inputs=[args.model, args.wav, args.segments])
     model = load_checkpoint(args.model)
@@ -243,7 +259,7 @@ def _cmd_analyze(args) -> int:
     if args.windows_csv:
         with atomic_write(args.windows_csv) as fh:
             fh.write(analysis.windows_csv())
-    print(report)
+    _say(report)
     return 0
 
 
@@ -318,10 +334,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CallsegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", err=True)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+        _say(f"internal error: {exc}", err=True)
         return 1
 
 

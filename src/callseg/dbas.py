@@ -11,7 +11,7 @@ with one log-mel feature array per fixed-length utterance, plus a
 ``manifest.json`` of per-split / per-class / per-gender counts.
 ``CorpusWriter`` writes each utterance as soon as it is cut into a staging
 tree under the root and keeps only counts, so memory does not grow with
-the corpus; once the splits are known it moves each speaker into place.
+the corpus; once the splits are known it swaps them in for the old ones.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from .errors import (
     DataError,
     FormatError,
     InputError,
+    LayoutError,
     NoSpeechError,
+    OutputPathError,
     SingleGenderError,
     SplitLeakError,
     atomic_write,
@@ -277,22 +279,86 @@ def _leaf(top: str, speaker_id: str, class_label: int) -> str:
     return os.path.join(top, role_of(class_label), gender_of(class_label), speaker_id)
 
 
+@dataclass
+class CorpusItem:
+    path: str
+    label2: int
+    label4: int
+    speaker_id: str
+
+
+def scan_corpus(root: str, split: str) -> list[CorpusItem]:
+    """List a split's feature files with labels decoded from the folder names.
+
+    Returns records in sorted path order; a missing split directory is an
+    empty list, an unrecognized path component is a LayoutError.
+    """
+    split_dir = os.path.join(root, split)
+    if not os.path.isdir(split_dir):
+        return []
+    items = []
+    for role in sorted(os.listdir(split_dir)):
+        role_dir = os.path.join(split_dir, role)
+        if role not in ROLES or not os.path.isdir(role_dir):
+            raise LayoutError(f"unexpected corpus entry: {role_dir}")
+        for gender in sorted(os.listdir(role_dir)):
+            gender_dir = os.path.join(role_dir, gender)
+            if gender not in GENDERS or not os.path.isdir(gender_dir):
+                raise LayoutError(f"unexpected corpus entry: {gender_dir}")
+            label4 = class_label_of(role, gender)
+            for speaker in sorted(os.listdir(gender_dir)):
+                speaker_dir = os.path.join(gender_dir, speaker)
+                if not os.path.isdir(speaker_dir):
+                    raise LayoutError(f"unexpected corpus entry: {speaker_dir}")
+                for name in sorted(os.listdir(speaker_dir)):
+                    path = os.path.join(speaker_dir, name)
+                    stem, ext = os.path.splitext(name)
+                    if ext != ".npy" or not stem.isdigit():
+                        raise LayoutError(f"unexpected corpus entry: {path}")
+                    items.append(CorpusItem(path, label4 // 2, label4, speaker))
+    return items
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether another process has ``pid``; this process's own pid reads as dead."""
+    try:
+        os.kill(pid, 0)
+    except PermissionError:  # another user's process
+        return True
+    except (ProcessLookupError, OverflowError):
+        return False
+    return pid != os.getpid()  # a tree of this pid was left by an earlier process
+
+
 class CorpusWriter:
     """Writes a corpus tree one utterance at a time, in memory independent of its size.
 
     ``add`` saves each utterance's features at once into a staging tree
     ``<root>/.staging.<pid>/<role>/<gender>/<speaker>/<n>.npy`` and keeps
-    only per-speaker counts; ``finish`` moves the staged speakers into
-    their splits and writes the manifest. Used as a context manager, it
-    removes the staging tree on exit, and on an error also a root that did
-    not exist before.
+    only per-speaker counts; ``finish`` swaps the staged splits in for the
+    root's and writes the manifest. Construction refuses splits that are not
+    a corpus and removes dead pids' staging trees. Used as a context
+    manager, it removes the staging tree on exit, and on an error also a
+    root that did not exist before.
     """
 
     def __init__(self, root: str):
+        for split in SPLITS:  # finish deletes these, so each must be a corpus split
+            path = os.path.join(root, split)
+            try:
+                if os.path.lexists(path) and not os.path.isdir(path):
+                    raise LayoutError(f"unexpected corpus entry: {path}")
+                scan_corpus(root, split)
+            except LayoutError as exc:
+                raise OutputPathError(f"cannot replace {path}: {exc}") from None
         self.root = root
         self.staging = os.path.join(root, f".staging.{os.getpid()}")
         self.counts: dict[str, dict[int, int]] = {}  # speaker -> class label -> utterances
         self._new_root = not os.path.exists(root)
+        for name in os.listdir(root) if os.path.isdir(root) else ():
+            pid = name.removeprefix(".staging.")
+            if pid != name and pid.isdecimal() and not _pid_alive(int(pid)):
+                shutil.rmtree(os.path.join(root, name), ignore_errors=True)
 
     def __enter__(self) -> "CorpusWriter":
         return self
@@ -313,12 +379,12 @@ class CorpusWriter:
         labels[class_label] += 1
 
     def finish(self, split_assignment) -> CorpusManifest:
-        """Move the staged speakers into ``<root>/<split>/`` and write the manifest.
+        """Replace ``<root>/<split>/`` by the staged speakers and write the manifest.
 
         split_assignment maps split name -> iterable of speaker ids; a
         speaker in two splits raises SplitLeakError, an unassigned one
-        DataError, both before any file moves. Files already in the tree
-        are replaced, so a re-run into the same root gives the same tree.
+        DataError, both before any file moves. Then split by split the old
+        tree moves into staging and the staged one takes its place.
         """
         assignment = {split: set(split_assignment.get(split, ())) for split in SPLITS}
         overlap = assignment["train"] & assignment["validation"]
@@ -333,11 +399,8 @@ class CorpusWriter:
         for speaker, labels in sorted(self.counts.items()):
             split = speaker_splits[speaker]
             for label, count in labels.items():
-                source = _leaf(self.staging, speaker, label)
-                target = _leaf(os.path.join(self.root, split), speaker, label)
-                os.makedirs(target, exist_ok=True)
-                for name in os.listdir(source):
-                    os.replace(os.path.join(source, name), os.path.join(target, name))
+                os.renames(_leaf(self.staging, speaker, label),
+                           _leaf(os.path.join(self.staging, split), speaker, label))
                 node = splits.setdefault(split, {"speakers": set(), "utterances": 0, "classes": {}})
                 cls = node["classes"].setdefault(
                     role_of(label), {"speakers": set(), "utterances": 0, "genders": {}}
@@ -348,6 +411,13 @@ class CorpusWriter:
                 for level in (node, cls, gnode):
                     level["speakers"].add(speaker)
                     level["utterances"] += count
+        os.makedirs(self.staging, exist_ok=True)
+        for split in SPLITS:
+            target, staged = os.path.join(self.root, split), os.path.join(self.staging, split)
+            if os.path.isdir(target):
+                os.rename(target, staged + ".old")
+            if os.path.isdir(staged):
+                os.rename(staged, target)
         shutil.rmtree(self.staging, ignore_errors=True)
 
         def counted(node):
@@ -359,7 +429,6 @@ class CorpusWriter:
             splits=counted(splits),
             speaker_splits={s: speaker_splits[s] for s in sorted(self.counts)},
         )
-        os.makedirs(self.root, exist_ok=True)
         manifest.save(os.path.join(self.root, "manifest.json"))
         return manifest
 

@@ -1,4 +1,4 @@
-"""Corpus scanning, Adam training with early stopping, evaluation.
+"""Adam training with early stopping, evaluation.
 
 Labels are decoded purely from corpus path components. Training monitors
 validation accuracy (computed with dropout off after every epoch), keeps
@@ -10,14 +10,13 @@ split only and are stored on the model so checkpoints stay self-contained.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dbas import GENDERS, ROLES, class_label_of
+from .dbas import scan_corpus
 from .errors import (
-    ConfigError, DataError, DivergenceError, JsonConfig, LayoutError, NumericError, ShapeError,
+    ConfigError, DataError, DivergenceError, JsonConfig, NumericError, ShapeError,
     atomic_write,
 )
 from .features import load_features
@@ -32,46 +31,6 @@ from .optim import AdamState, adam_step
 # 1 for the default 64-filter 96x1000 one. On the reduced model 6 samples
 # trained 10% faster than 4, but peak RSS grew 6.5% instead of 2.7%.
 BATCH_BYTES = 5 << 19
-
-
-@dataclass
-class CorpusItem:
-    path: str
-    label2: int
-    label4: int
-    speaker_id: str
-
-
-def scan_corpus(root: str, split: str) -> list[CorpusItem]:
-    """List a split's feature files with labels decoded from the folder names.
-
-    Returns records in sorted path order; a missing split directory is an
-    empty list, an unrecognized path component is a LayoutError.
-    """
-    split_dir = os.path.join(root, split)
-    if not os.path.isdir(split_dir):
-        return []
-    items = []
-    for role in sorted(os.listdir(split_dir)):
-        role_dir = os.path.join(split_dir, role)
-        if role not in ROLES or not os.path.isdir(role_dir):
-            raise LayoutError(f"unexpected corpus entry: {role_dir}")
-        for gender in sorted(os.listdir(role_dir)):
-            gender_dir = os.path.join(role_dir, gender)
-            if gender not in GENDERS or not os.path.isdir(gender_dir):
-                raise LayoutError(f"unexpected corpus entry: {gender_dir}")
-            label4 = class_label_of(role, gender)
-            for speaker in sorted(os.listdir(gender_dir)):
-                speaker_dir = os.path.join(gender_dir, speaker)
-                if not os.path.isdir(speaker_dir):
-                    raise LayoutError(f"unexpected corpus entry: {speaker_dir}")
-                for name in sorted(os.listdir(speaker_dir)):
-                    path = os.path.join(speaker_dir, name)
-                    stem, ext = os.path.splitext(name)
-                    if ext != ".npy" or not stem.isdigit():
-                        raise LayoutError(f"unexpected corpus entry: {path}")
-                    items.append(CorpusItem(path, label4 // 2, label4, speaker))
-    return items
 
 
 @dataclass

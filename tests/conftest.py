@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from callseg.audio import AudioBuffer, save_wav
+from callseg.dbas import SPLITS
+from callseg.training import scan_corpus
 
 
 def make_tone(seconds=10.0, freq=440.0, rate=8000, amplitude=0.5):
@@ -30,6 +32,16 @@ def tree_digest(root):
             digest.update(os.path.relpath(path, root).encode())
             digest.update(Path(path).read_bytes())
     return digest.hexdigest()
+
+
+def assert_tree_matches_manifest(root):
+    """Each split's speakers and utterance count on disk are those of ``manifest.json``."""
+    manifest = json.loads(Path(root, "manifest.json").read_text())
+    for split in SPLITS:
+        items = scan_corpus(str(root), split)
+        assert len(items) == manifest["splits"].get(split, {"utterances": 0})["utterances"]
+        assert {item.speaker_id for item in items} == {
+            speaker for speaker, s in manifest["speaker_splits"].items() if s == split}
 
 
 def rewrite_checkpoint_header(path, edit):

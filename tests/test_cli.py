@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +116,28 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+    def test_rerun_with_a_smaller_spec_trains(self, capsys, tmp_path):
+        out = str(tmp_path / "corpus")
+        first = write_spec(tmp_path / "a.json", train_speakers_per_class=2,
+                           utterances_per_speaker=3)
+        second = write_spec(tmp_path / "b.json", utterance_seconds=0.25)
+        for spec in (first, second):
+            assert run_cli(capsys, "synth", "--spec", spec, "--seed", "7", "--out", out)[0] == 0
+        code, _, err = run_cli(capsys, "train", "--corpus", out, "--out", str(tmp_path / "m.ckpt"),
+                               "--filters", "2,2,2,2", "--hidden", "3,3", "--epochs", "1")
+        assert code == 0, err
+
+    def test_root_holding_a_non_corpus_file_exits_2(self, capsys, tmp_path):
+        notes = tmp_path / "corpus" / "train" / "notes.txt"
+        notes.parent.mkdir(parents=True)
+        notes.write_text("mine\n")
+        spec = write_spec(tmp_path / "spec.json")
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--seed", "1",
+                               "--out", str(tmp_path / "corpus"))
+        assert code == 2
+        assert "notes.txt" in err
+        assert notes.read_text() == "mine\n"
+
     def test_negative_seed_exits_2(self, capsys, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
         out = tmp_path / "corpus"
@@ -158,6 +182,16 @@ class TestTrainCommand:
         assert code == 0
         threads = json.loads(stdout.splitlines()[0])["effective_config"]["blas_threads"]
         assert isinstance(threads, int) and threads > 0
+
+    def test_echo_records_the_history_path(self, capsys, tmp_path, cli_corpus):
+        ckpt = str(tmp_path / "m.ckpt")
+        code, stdout, _ = run_cli(
+            capsys, "train", "--corpus", cli_corpus["corpus"], "--out", ckpt,
+            "--filters", "2,2,2,2", "--hidden", "3,3", "--epochs", "1",
+        )
+        assert code == 0
+        assert json.loads(stdout.splitlines()[0])["effective_config"]["history"] == (
+            ckpt + ".history.csv")
 
     def test_empty_corpus_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--corpus", str(tmp_path / "void"),
@@ -287,6 +321,14 @@ class TestAnalyzeCommand:
             assert entry["window_count"] >= 1
             assert abs(sum(entry["mean_probabilities"]) - 1.0) < 1e-6
         assert (tmp_path / "win.csv").read_text().startswith("slot,window,")
+
+    def test_echo_records_the_windows_csv(self, capsys, tmp_path, cli_corpus):
+        wav, segments = self.make_call_files(tmp_path)
+        windows = str(tmp_path / "win.csv")
+        code, stdout, _ = run_cli(capsys, "analyze", "--wav", wav, "--segments", segments,
+                                  "--model", cli_corpus["ckpt"], "--windows-csv", windows)
+        assert code == 0
+        assert json.loads(stdout.splitlines()[0])["effective_config"]["windows_csv"] == windows
 
     def test_single_gender_call(self, capsys, tmp_path, cli_corpus):
         rng = np.random.default_rng(1)
@@ -689,3 +731,24 @@ def test_every_command_echoes_config(capsys, tmp_path, tone_wav):
     _code, stdout, _ = run_cli(capsys, "features", "--in", tone_wav, "--out", out)
     echo = json.loads(stdout.splitlines()[0])
     assert "effective_config" in echo and echo["effective_config"]["in"] == tone_wav
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_is_not_an_error(tmp_path, tone_wav, unbuffered):
+    root = Path(__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(root / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    out = tmp_path / "t.npy"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader, so every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "callseg.cli", "features", "--in", tone_wav, "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=root, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert load_features(str(out)).shape == (96, 1000)

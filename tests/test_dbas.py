@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,12 +32,13 @@ from callseg.errors import (
     FormatError,
     InputError,
     NoSpeechError,
+    OutputPathError,
     SingleGenderError,
     SplitLeakError,
 )
 from callseg.features import load_features
 from callseg.synth import synth_call
-from tests.conftest import tree_digest
+from tests.conftest import assert_tree_matches_manifest, tree_digest
 
 
 def call(call_id="c1", agent="a1", gender="female", duration=120.0):
@@ -202,6 +205,43 @@ class TestWriteCorpus:
         self.write(str(fresh), split, speakers)
         assert tree_digest(root) == tree_digest(fresh)
 
+    def test_swapped_splits_leave_no_speaker_in_both(self, tmp_path):
+        root, fresh = tmp_path / "corpus", tmp_path / "fresh"
+        swapped = {"train": {"spk03"}, "validation": {"spk01", "spk02"}}
+        self.write(str(root))
+        self.write(str(root), swapped)
+        self.write(str(fresh), swapped)
+        assert tree_digest(root) == tree_digest(fresh)
+        assert_tree_matches_manifest(root)
+
+    def test_own_pid_leftover_is_not_renamed_into_the_corpus(self, tmp_path):
+        root, fresh = tmp_path / "corpus", tmp_path / "fresh"
+        leftover = root / f".staging.{os.getpid()}" / "agent" / "female" / "spk01"
+        leftover.mkdir(parents=True)  # as an earlier process with this pid left it
+        (leftover / "7.npy").write_bytes(b"stale")
+        self.write(str(root))
+        self.write(str(fresh))
+        assert tree_digest(root) == tree_digest(fresh)
+
+    def test_removes_only_dead_pids_staging_trees(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()  # reaped, so its pid names no process
+        dead, live = tmp_path / f".staging.{child.pid}", tmp_path / f".staging.{os.getppid()}"
+        for tree in (dead, live):
+            (tree / "agent" / "female" / "spk01").mkdir(parents=True)
+        CorpusWriter(str(tmp_path))
+        assert not dead.exists()
+        assert (live / "agent" / "female" / "spk01").is_dir()
+
+    @pytest.mark.parametrize("entry", ["train/notes.txt", "validation", "train/agent/female/x.npy"])
+    def test_root_split_that_is_not_a_corpus_refused(self, tmp_path, entry):
+        path = tmp_path / entry
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("keep me\n")
+        with pytest.raises(OutputPathError, match="cannot replace"):
+            CorpusWriter(str(tmp_path))
+        assert path.read_text() == "keep me\n"
+
     def test_split_leak_rejected(self, tmp_path):
         root = tmp_path / "c"
         with pytest.raises(SplitLeakError):
@@ -303,6 +343,23 @@ class TestSegmentSamples:
             prepare_corpus([call(call_id="c0"), call()], segments, lambda _call: audio, str(root),
                            utterance_seconds=2.0)
         assert list(tmp_path.iterdir()) == []  # neither the root nor a staging tree is left
+
+
+def test_prepare_rerun_with_another_seed_gives_the_fresh_tree(tmp_path):
+    audio = AudioBuffer(np.zeros(12 * 8000), 8000)
+    segments = [SegmentAnnotation(0, 6, "speech_female"), SegmentAnnotation(6, 12, "speech_male")]
+    calls = [call(call_id=f"c{i}", agent=f"a{i}") for i in range(4)]  # 8 speakers
+
+    def prepare(root, seed):
+        return prepare_corpus(calls, {c.call_id: segments for c in calls}, lambda _call: audio,
+                              str(root), val_fraction=0.5, seed=seed, utterance_seconds=2.0)
+
+    first = prepare(tmp_path / "corpus", 0).manifest.speaker_splits
+    second = prepare(tmp_path / "corpus", 1).manifest.speaker_splits
+    assert first != second  # some speakers change split
+    prepare(tmp_path / "fresh", 1)
+    assert tree_digest(tmp_path / "corpus") == tree_digest(tmp_path / "fresh")
+    assert_tree_matches_manifest(tmp_path / "corpus")
 
 
 def test_prepare_corpus_rejects_repeated_call_id(tmp_path):

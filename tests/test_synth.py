@@ -6,7 +6,7 @@ from callseg.errors import ConfigError
 from callseg.features import log_mel_spectrogram
 from callseg.audio import AudioBuffer
 from callseg.synth import F0_BANDS, SynthSpec, speaker_voice, synth_call, synth_corpus, synth_speech
-from tests.conftest import tree_digest
+from tests.conftest import assert_tree_matches_manifest, tree_digest
 
 SMALL = SynthSpec(train_speakers_per_class=1, val_speakers_per_class=1,
                   utterances_per_speaker=2, utterance_seconds=1.0)
@@ -30,6 +30,21 @@ def test_different_seed_differs(tmp_path):
     synth_corpus(SMALL, seed=7, out_root=a)
     synth_corpus(SMALL, seed=8, out_root=b)
     assert tree_digest(a) != tree_digest(b)
+
+
+@pytest.mark.parametrize("first, second", [
+    ({"train_speakers_per_class": 2, "utterances_per_speaker": 3}, {}),
+    ({"utterances_per_speaker": 3}, {"utterance_seconds": 0.25}),  # 2.npy of the old shape
+], ids=["fewer_speakers", "shorter_utterances"])
+def test_rerun_gives_the_tree_of_a_fresh_second_run(tmp_path, first, second):
+    base = {"train_speakers_per_class": 1, "val_speakers_per_class": 1,
+            "utterances_per_speaker": 2, "utterance_seconds": 0.5}
+    root, fresh = str(tmp_path / "root"), str(tmp_path / "fresh")
+    synth_corpus(SynthSpec(**{**base, **first}), seed=7, out_root=root)
+    synth_corpus(SynthSpec(**{**base, **second}), seed=7, out_root=root)
+    synth_corpus(SynthSpec(**{**base, **second}), seed=7, out_root=fresh)
+    assert tree_digest(root) == tree_digest(fresh)
+    assert_tree_matches_manifest(root)
 
 
 def test_manifest_counts_match_spec(tmp_path):
