@@ -11,7 +11,7 @@ with one log-mel feature array per fixed-length utterance, plus a
 ``manifest.json`` of per-split / per-class / per-gender counts.
 ``CorpusWriter`` writes each utterance as soon as it is cut into a staging
 tree under the root and keeps only counts, so memory does not grow with
-the corpus; once the splits are known it swaps them in for the old ones.
+the corpus; once the splits are known it replaces the root's old run.
 """
 
 from __future__ import annotations
@@ -335,14 +335,16 @@ class CorpusWriter:
 
     ``add`` saves each utterance's features at once into a staging tree
     ``<root>/.staging.<pid>/<role>/<gender>/<speaker>/<n>.npy`` and keeps
-    only per-speaker counts; ``finish`` swaps the staged splits in for the
-    root's and writes the manifest. Construction refuses splits that are not
-    a corpus and removes dead pids' staging trees. Used as a context
-    manager, it removes the staging tree on exit, and on an error also a
-    root that did not exist before.
+    only per-speaker counts; ``finish`` replaces the root's run by the staged
+    one. Construction refuses a split that is not a corpus or a manifest that
+    is not a file, and removes dead pids' staging trees. As a context manager
+    it removes the staging tree on exit, and on an error a root it created.
     """
 
     def __init__(self, root: str):
+        manifest = os.path.join(root, "manifest.json")  # finish deletes it, so it must be a file
+        if os.path.lexists(manifest) and not os.path.isfile(manifest):
+            raise OutputPathError(f"cannot replace {manifest}: not a regular file")
         for split in SPLITS:  # finish deletes these, so each must be a corpus split
             path = os.path.join(root, split)
             try:
@@ -379,12 +381,12 @@ class CorpusWriter:
         labels[class_label] += 1
 
     def finish(self, split_assignment) -> CorpusManifest:
-        """Replace ``<root>/<split>/`` by the staged speakers and write the manifest.
+        """Replace the root's run by the staged speakers and write the manifest last.
 
         split_assignment maps split name -> iterable of speaker ids; a
         speaker in two splits raises SplitLeakError, an unassigned one
-        DataError, both before any file moves. Then split by split the old
-        tree moves into staging and the staged one takes its place.
+        DataError, both before any file moves. Then the old run moves into
+        staging, manifest first, so a root's manifest describes its tree.
         """
         assignment = {split: set(split_assignment.get(split, ())) for split in SPLITS}
         overlap = assignment["train"] & assignment["validation"]
@@ -395,12 +397,16 @@ class CorpusWriter:
             if speaker not in speaker_splits:
                 raise DataError(f"speaker {speaker} has no split assignment")
 
+        os.makedirs(self.staging, exist_ok=True)
+        for name in ("manifest.json", *SPLITS):  # the old run moves out, manifest first
+            if os.path.lexists(os.path.join(self.root, name)):
+                os.rename(os.path.join(self.root, name), os.path.join(self.staging, name))
         splits: dict = {}
         for speaker, labels in sorted(self.counts.items()):
             split = speaker_splits[speaker]
             for label, count in labels.items():
                 os.renames(_leaf(self.staging, speaker, label),
-                           _leaf(os.path.join(self.staging, split), speaker, label))
+                           _leaf(os.path.join(self.root, split), speaker, label))
                 node = splits.setdefault(split, {"speakers": set(), "utterances": 0, "classes": {}})
                 cls = node["classes"].setdefault(
                     role_of(label), {"speakers": set(), "utterances": 0, "genders": {}}
@@ -411,14 +417,6 @@ class CorpusWriter:
                 for level in (node, cls, gnode):
                     level["speakers"].add(speaker)
                     level["utterances"] += count
-        os.makedirs(self.staging, exist_ok=True)
-        for split in SPLITS:
-            target, staged = os.path.join(self.root, split), os.path.join(self.staging, split)
-            if os.path.isdir(target):
-                os.rename(target, staged + ".old")
-            if os.path.isdir(staged):
-                os.rename(staged, target)
-        shutil.rmtree(self.staging, ignore_errors=True)
 
         def counted(node):
             return {key: len(value) if isinstance(value, set)
@@ -430,6 +428,7 @@ class CorpusWriter:
             speaker_splits={s: speaker_splits[s] for s in sorted(self.counts)},
         )
         manifest.save(os.path.join(self.root, "manifest.json"))
+        shutil.rmtree(self.staging, ignore_errors=True)
         return manifest
 
 

@@ -138,6 +138,18 @@ class TestSynthCommand:
         assert "notes.txt" in err
         assert notes.read_text() == "mine\n"
 
+    def test_root_whose_manifest_is_a_directory_exits_2(self, capsys, tmp_path):
+        keep = tmp_path / "corpus" / "manifest.json" / "keep.txt"
+        keep.parent.mkdir(parents=True)
+        keep.write_text("mine\n")
+        spec = write_spec(tmp_path / "spec.json")
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--seed", "1",
+                               "--out", str(tmp_path / "corpus"))
+        assert code == 2
+        assert "manifest.json" in err
+        assert keep.read_text() == "mine\n"
+        assert [p.name for p in (tmp_path / "corpus").iterdir()] == ["manifest.json"]
+
     def test_negative_seed_exits_2(self, capsys, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
         out = tmp_path / "corpus"

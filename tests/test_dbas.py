@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from callseg.audio import AudioBuffer
 from callseg.dbas import (
+    SPLITS,
     CallMetadata,
     CorpusWriter,
     SegmentAnnotation,
@@ -25,6 +26,7 @@ from callseg.dbas import (
     read_calls_csv,
     read_segments_csv,
     role_of,
+    scan_corpus,
     segment_samples,
 )
 from callseg.errors import (
@@ -233,7 +235,48 @@ class TestWriteCorpus:
         assert not dead.exists()
         assert (live / "agent" / "female" / "spk01").is_dir()
 
-    @pytest.mark.parametrize("entry", ["train/notes.txt", "validation", "train/agent/female/x.npy"])
+    def test_failed_rerun_never_mixes_two_runs(self, tmp_path, monkeypatch):
+        """Whichever file move of a swapped-split re-run fails, the root holds the old run
+        whole with its manifest, or no manifest, and no speaker is in both splits."""
+        swapped = {"train": {"spk03"}, "validation": {"spk01", "spk02"}}
+        real = {name: getattr(os, name) for name in ("rename", "replace")}
+
+        def rerun(root, fail_at=0):
+            """Write ``root``, re-run it with the splits swapped and count its moves."""
+            self.write(root)
+            moves = 0
+
+            def counted(name):
+                def move(src, dst):
+                    nonlocal moves
+                    moves += 1
+                    if moves == fail_at:
+                        raise PermissionError(f"{name} {moves} refused")
+                    real[name](src, dst)
+                return move
+
+            for name in real:
+                monkeypatch.setattr(os, name, counted(name))
+            try:
+                self.write(root, swapped)
+            finally:
+                monkeypatch.undo()
+            return moves
+
+        count = rerun(str(tmp_path / "clean"))
+        assert count > len(SPEAKERS)
+        for n in range(1, count + 1):
+            root = tmp_path / f"fail{n}"
+            with pytest.raises(PermissionError):
+                rerun(str(root), fail_at=n)
+            on_disk = [{item.speaker_id for item in scan_corpus(str(root), split)}
+                       for split in SPLITS]
+            assert not set.intersection(*on_disk), f"move {n}"
+            if (root / "manifest.json").exists():
+                assert_tree_matches_manifest(root)
+
+    @pytest.mark.parametrize("entry", ["train/notes.txt", "validation", "train/agent/female/x.npy",
+                                       "manifest.json/keep.txt"])
     def test_root_split_that_is_not_a_corpus_refused(self, tmp_path, entry):
         path = tmp_path / entry
         path.parent.mkdir(parents=True, exist_ok=True)

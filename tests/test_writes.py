@@ -1,4 +1,7 @@
-"""Every file the package writes goes through errors.atomic_write."""
+"""Every file the package writes goes through errors.atomic_write.
+
+Only it and the corpus writer rename or delete files.
+"""
 
 import ast
 import os
@@ -39,28 +42,51 @@ def test_failed_write_leaves_old_file(tmp_path, monkeypatch, writer):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
+def calls_in(path):
+    """(enclosing class and function names, outermost first; node) of each call in ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    scope = {tree: ()}
+    for node in ast.walk(tree):  # breadth first, so a node's scope is known before its children
+        inner = scope[node]
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner += (node.name,)
+        for child in ast.iter_child_nodes(node):
+            scope[child] = inner
+        if isinstance(node, ast.Call):
+            yield scope[node], node
+
+
 def opens_for_writing(path):
     """(file name, enclosing function) of each open() in ``path`` whose mode may write."""
-    tree = ast.parse(path.read_text(), str(path))
-    owner = {}  # node -> name of the innermost function holding it
     found = []
-    for node in ast.walk(tree):  # breadth first, so a node's owner is known before its children
-        is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        name = node.name if is_function else owner.get(node)
-        for child in ast.iter_child_nodes(node):
-            owner[child] = name
-        func = getattr(node, "func", None)
-        if getattr(func, "id", getattr(func, "attr", None)) != "open":
+    for scope, node in calls_in(path):
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) != "open":
             continue
         mode = node.args[1] if len(node.args) > 1 else next(
             (k.value for k in node.keywords if k.arg == "mode"), None)
         reads = mode is None or (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
                                  and not set(mode.value) & set("wax+"))
         if not reads:
-            found.append((path.name, owner.get(node)))
+            found.append((path.name, scope[-1] if scope else None))
     return found
 
 
 def test_one_function_opens_files_for_writing():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in opens_for_writing(path)]
     assert found == [("errors.py", "atomic_write")]
+
+
+MOVES = {("os", "rename"), ("os", "renames"), ("os", "replace"), ("os", "unlink"),
+         ("os", "remove"), ("shutil", "rmtree")}
+
+
+def test_only_the_writers_move_or_delete_files():
+    """Renames and deletions run only in errors.atomic_write and CorpusWriter's methods."""
+    owners = {
+        (path.name, scope[:1])
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in calls_in(path)
+        if isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+        and (node.func.value.id, node.func.attr) in MOVES
+    }
+    assert owners == {("errors.py", ("atomic_write",)), ("dbas.py", ("CorpusWriter",))}
