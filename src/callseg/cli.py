@@ -127,9 +127,8 @@ def _cmd_prepare(args) -> int:
         _say(f"rejected {call_id}: {reason}")
     for speaker in sorted(result.dropped_speakers):
         _say(f"dropped speaker {speaker}: inconsistent gender labels")
-    if result.manifest is None:
+    if not result.manifest.speaker_splits:
         _say("no utterances produced")
-        return 0
     _print_manifest(result.manifest)
     return 0
 

@@ -336,9 +336,11 @@ class CorpusWriter:
     ``add`` saves each utterance's features at once into a staging tree
     ``<root>/.staging.<pid>/<role>/<gender>/<speaker>/<n>.npy`` and keeps
     only per-speaker counts; ``finish`` replaces the root's run by the staged
-    one. Construction refuses a split that is not a corpus or a manifest that
-    is not a file, and removes dead pids' staging trees. As a context manager
-    it removes the staging tree on exit, and on an error a root it created.
+    one, an empty one included, which leaves only a manifest with empty
+    splits. Construction refuses a split that is not a corpus or a manifest
+    that is not a file, and removes dead pids' staging trees. As a context
+    manager it removes the staging tree on exit, and on an error a root it
+    created.
     """
 
     def __init__(self, root: str):
@@ -437,7 +439,7 @@ class CorpusWriter:
 
 @dataclass
 class PrepareResult:
-    manifest: CorpusManifest | None
+    manifest: CorpusManifest
     accepted_calls: list
     rejections: list  # (call_id, reason)
     dropped_speakers: set
@@ -457,8 +459,10 @@ def prepare_corpus(
     calls: CallMetadata list; segments_by_call: call_id -> segment list;
     audio_loader: CallMetadata -> AudioBuffer. Per-call rejections are
     collected, not raised. Validation speakers are chosen by a seeded
-    shuffle of the retained speaker list. Bad numbers raise ConfigError and a
-    repeated call_id InputError, before anything is written.
+    shuffle of the retained speaker list. The new run replaces the root's
+    old one even when no utterance was cut; its manifest then has empty
+    splits. Bad numbers raise ConfigError and a repeated call_id
+    InputError, before anything is written.
     """
     if not 0.0 <= val_fraction <= 1.0:
         raise ConfigError(f"validation fraction must be in [0, 1], got {val_fraction}")
@@ -505,9 +509,6 @@ def prepare_corpus(
                     writer.add(side.speaker_id, side.class_label, utterance, audio.sample_rate)
 
         speakers = sorted(writer.counts)
-        if not speakers:
-            return PrepareResult(None, [c for c, _s in kept], rejections, dropped)
-
         rng = np.random.default_rng(seed)
         order = [speakers[i] for i in rng.permutation(len(speakers))]
         n_val = int(round(val_fraction * len(speakers)))

@@ -221,29 +221,21 @@ class Conv2d:
 
 
 class Activation:
-    """Pointwise nonlinearity of each conv block: elu, relu or linear.
+    """ELU, the pointwise nonlinearity of each conv block.
 
-    All three are monotone non-decreasing, so max-pooling commutes with them
-    and the model applies them after the pool, on fewer elements, with the
-    same forward values. Gradients then route by the pre-activation argmax;
-    the model docstring gives the one case where that differs. Backward
-    reads only the output: y > 0 exactly where x > 0, and ELU's slope is
-    y + 1 elsewhere.
+    ELU is monotone non-decreasing, so max-pooling commutes with it and the
+    model applies it after the pool, on fewer elements, with the same
+    forward values. Gradients then route by the pre-activation argmax; the
+    model docstring gives the one case where that differs. Backward reads
+    only the output: y > 0 exactly where x > 0, and the slope is y + 1
+    elsewhere.
     """
 
-    def __init__(self, kind: str = "elu"):
-        if kind not in ("elu", "relu", "linear"):
-            raise ConfigError(f"unknown activation {kind!r}")
-        self.kind = kind
+    def __init__(self):
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
-        if self.kind == "elu":
-            y = elu(x)
-        elif self.kind == "relu":
-            y = np.maximum(x, 0)
-        else:
-            y = x
+        y = elu(x)
         self._cache = y if training else None
         return y
 
@@ -251,11 +243,7 @@ class Activation:
         if self._cache is None:
             raise StateError("activation backward needs a training forward")
         y, self._cache = self._cache, None
-        if self.kind == "elu":
-            return grad_out * np.where(y > 0, 1.0, y + 1.0).astype(y.dtype)
-        if self.kind == "relu":
-            return grad_out * (y > 0)
-        return grad_out
+        return grad_out * np.where(y > 0, 1.0, y + 1.0).astype(y.dtype)
 
 
 class MaxPool2d:

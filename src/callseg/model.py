@@ -6,14 +6,13 @@ surviving (channels, time) map is read as a sequence, passed through two
 recurrent layers (full sequence, then final state only), and a dense
 head gives the logits of a softmax; the model runs all of it as one layer list.
 
-Each block computes conv -> pool -> activation -> dropout. The activations
-(elu, relu, linear) are monotone non-decreasing, so pooling first gives the
-same forward values while the activation touches 1/(kh*kw) of the elements.
-Backward routes each pooled gradient by the pre-activation argmax. Where
-the activation maps different inputs of one window to the same float (ELU
-saturating at -1, ReLU at 0), that can be another position than the one
-activation-then-pool would pick; the gradient there is g*(y+1) with
-y close to -1 for ELU, or 0 for ReLU, so zero or nearly zero.
+Each block computes conv -> pool -> ELU -> dropout. ELU is monotone
+non-decreasing, so pooling first gives the same forward values while the
+activation touches 1/(kh*kw) of the elements. Backward routes each pooled
+gradient by the pre-activation argmax. Where ELU saturates to the same
+float near -1 for different inputs of one window, that can be another
+position than the one activation-then-pool would pick; the gradient there
+is g*(y+1) with y close to -1, so zero or nearly zero.
 
 With the default configuration a (96, 1000) input reaches the recurrent
 layers as 42 time steps of 32 features.
@@ -78,7 +77,6 @@ class ModelConfig(JsonConfig):
     rnn_hidden: tuple = (84, 84)
     n_classes: int = 2
     input_shape: tuple = (96, 1000)
-    conv_activation: str = "elu"
 
     def __post_init__(self):
         for name, convert in (("conv_filters", int), ("pool_kernels", _int_pair),
@@ -142,7 +140,7 @@ class CrnnModel:
             # nothing reads the gradient with respect to the spectrogram
             conv = Conv2d(channels_in, filters, rng, dtype=self.dtype, input_grad=i > 0,
                           workspace=workspace)
-            act, pool = Activation(config.conv_activation), MaxPool2d(kernel)
+            act, pool = Activation(), MaxPool2d(kernel)
             drop = Dropout(config.dropout_p)
             self.blocks.append((conv, act, pool, drop))
             self.layers += [conv, pool, act, drop]  # pool before the activation, see above
@@ -351,8 +349,11 @@ def load_checkpoint(path: str, dtype=np.float32) -> CrnnModel:
     if header.get("format_version") != 1:
         raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
 
+    config = header.get("config")
+    if isinstance(config, dict) and config.get("conv_activation") == "elu":  # saved before ELU was fixed
+        config = {k: v for k, v in config.items() if k != "conv_activation"}
     try:
-        model = build_crnn(ModelConfig.from_dict(header.get("config")), seed=0, dtype=dtype)
+        model = build_crnn(ModelConfig.from_dict(config), seed=0, dtype=dtype)
     except (ConfigError, ShapeError) as exc:
         raise CheckpointError(f"{path}: bad model configuration: {exc}") from exc
     named = model.named_params()

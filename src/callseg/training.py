@@ -5,11 +5,14 @@ validation accuracy (computed with dropout off after every epoch), keeps
 the best-epoch weights, and stops after ``patience`` epochs without
 improvement. Feature normalization statistics come from the training
 split only and are stored on the model so checkpoints stay self-contained.
+Both read only a finished corpus run: a root without ``manifest.json``,
+which a failed ``prepare`` or ``synth`` can leave, raises DataError.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,14 +133,20 @@ def _eval_items(model, items, labels):
     return float(np.mean(np.concatenate(losses))), float(np.mean(preds == labels)), cm
 
 
+def _split_items(corpus_root: str, split: str):
+    """A split's items; DataError if the root has no manifest.json or the split is empty."""
+    if not os.path.isfile(os.path.join(corpus_root, "manifest.json")):
+        raise DataError(f"{corpus_root} holds no finished corpus run: no manifest.json")
+    items = scan_corpus(corpus_root, split)
+    if not items:
+        raise DataError(f"no data in split {split!r} under {corpus_root}")
+    return items
+
+
 def train(model: CrnnModel, corpus_root: str, config: TrainConfig):
     """Train in place; returns (model restored to its best epoch, history)."""
-    train_items = scan_corpus(corpus_root, "train")
-    val_items = scan_corpus(corpus_root, "validation")
-    if not train_items:
-        raise DataError(f"no training data under {corpus_root}")
-    if not val_items:
-        raise DataError(f"no validation data under {corpus_root}")
+    train_items = _split_items(corpus_root, "train")
+    val_items = _split_items(corpus_root, "validation")
 
     n_classes = model.config.n_classes
     train_labels = _labels_for(train_items, n_classes)
@@ -208,9 +217,7 @@ class EvalResult:
 
 def evaluate(model: CrnnModel, corpus_root: str, split: str) -> EvalResult:
     """Loss, accuracy and confusion matrix over one split, dropout off."""
-    items = scan_corpus(corpus_root, split)
-    if not items:
-        raise DataError(f"no data in split {split!r} under {corpus_root}")
+    items = _split_items(corpus_root, split)
     labels = _labels_for(items, model.config.n_classes)
     loss, acc, cm = _eval_items(model, items, labels)
     return EvalResult(loss=loss, accuracy=acc, confusion=cm)

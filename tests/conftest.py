@@ -8,6 +8,7 @@ import pytest
 
 from callseg.audio import AudioBuffer, save_wav
 from callseg.dbas import SPLITS
+from callseg.synth import SynthSpec, synth_corpus
 from callseg.training import scan_corpus
 
 
@@ -42,6 +43,31 @@ def assert_tree_matches_manifest(root):
         assert len(items) == manifest["splits"].get(split, {"utterances": 0})["utterances"]
         assert {item.speaker_id for item in items} == {
             speaker for speaker, s in manifest["speaker_splits"].items() if s == split}
+
+
+def write_half_run(root):
+    """A corpus root as a failed re-run leaves it: both splits hold speakers, no manifest.json.
+
+    A synth run, then a second one whose 3rd speaker move raises.
+    """
+    spec = SynthSpec(train_speakers_per_class=1, val_speakers_per_class=1,
+                     utterances_per_speaker=2, utterance_seconds=0.5)
+    synth_corpus(spec, seed=1, out_root=str(root))
+    real, moves = os.renames, 0
+
+    def failing(src, dst):
+        nonlocal moves
+        moves += 1
+        if moves == 3:
+            raise PermissionError("speaker move 3 refused")
+        real(src, dst)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "renames", failing)
+        with pytest.raises(PermissionError):
+            synth_corpus(spec, seed=2, out_root=str(root))
+    assert all(scan_corpus(str(root), split) for split in SPLITS)
+    assert not os.path.exists(os.path.join(root, "manifest.json"))
 
 
 def rewrite_checkpoint_header(path, edit):

@@ -247,6 +247,8 @@ GOLDEN_CONFIGS = {
     "lstm-pool1-3x3": dict(conv_filters=(3, 2, 2, 2), rnn_hidden=(3, 3), rnn_kind="lstm",
                            input_shape=(96, 201),
                            pool_kernels=((3, 3), (2, 2), (4, 2), (4, 2))),
+    # windows of 12 frames or fewer have no edge strips, so each runs as its own tile
+    "short-window": dict(conv_filters=(3, 2, 2, 2), rnn_hidden=(3, 3), input_shape=(96, 12)),
 }
 
 

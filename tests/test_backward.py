@@ -70,12 +70,8 @@ def test_conv_gradients():
 
 
 def test_activation_gradients():
-    for kind in ("elu", "relu", "linear"):
-        layer = Activation(kind)
-        # keep values away from the relu kink
-        x = rng.standard_normal((2, 4, 5))
-        x[np.abs(x) < 0.05] = 0.1
-        fd_input_check(layer.forward, layer.backward, x)
+    layer = Activation()
+    fd_input_check(layer.forward, layer.backward, rng.standard_normal((2, 4, 5)))
 
 
 def test_maxpool_gradients():

@@ -13,7 +13,7 @@ from callseg.features import load_features
 from callseg.model import load_checkpoint
 from callseg.synth import SynthSpec, speaker_voice, synth_speech
 from callseg.training import TrainHistory
-from tests.conftest import rewrite_checkpoint_header, tree_digest, write_tone_wav
+from tests.conftest import rewrite_checkpoint_header, tree_digest, write_half_run, write_tone_wav
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +235,7 @@ class TestTrainCommand:
         ('["model"]', "JSON object"),
         ('{"modle": {}}', "modle"),
         ('{"model": {"conv_filterz": [2, 2, 2, 2]}}', "conv_filterz"),
+        ('{"model": {"conv_activation": "elu"}}', "conv_activation"),
         ('{"train": {"shuffle": false}}', "shuffle"),
         ('{"train": {"batch_size": "x"}}', "batch_size"),
         ('{"train": {"seed": -1}}', "seed"),
@@ -275,6 +276,17 @@ class TestTrainCommand:
         assert "learning_rate" in err
         assert not ckpt.exists()
 
+    def test_root_without_manifest_exits_2(self, capsys, tmp_path):
+        write_half_run(tmp_path / "corpus")
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run_cli(capsys, "train", "--corpus", str(tmp_path / "corpus"),
+                               "--out", str(out / "m.ckpt"), "--filters", "2,2,2,2",
+                               "--hidden", "3,3", "--epochs", "2")
+        assert code == 2
+        assert "manifest.json" in err
+        assert os.listdir(out) == []
+
 
 class TestEvaluateCommand:
     def test_report_self_consistent(self, capsys, tmp_path, cli_corpus):
@@ -302,6 +314,15 @@ class TestEvaluateCommand:
                                "--split", "validation", "--model", cli_corpus["ckpt"])
         assert code == 2
         assert "shape" in err.lower()
+
+    def test_root_without_manifest_exits_2(self, capsys, tmp_path, cli_corpus):
+        write_half_run(tmp_path / "corpus")
+        report = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "evaluate", "--corpus", str(tmp_path / "corpus"),
+                               "--model", cli_corpus["ckpt"], "--out", str(report))
+        assert code == 2
+        assert "manifest.json" in err
+        assert not report.exists()
 
 
 class TestAnalyzeCommand:
@@ -604,6 +625,22 @@ class TestFailedWritesKeepOldFiles:
 
 
 class TestPrepareCommand:
+    def test_rerun_that_cuts_nothing_leaves_an_empty_run(self, capsys, tmp_path):
+        out = tmp_path / "corpus"
+        assert run_cli(capsys, "synth", "--spec", write_spec(tmp_path / "spec.json"),
+                       "--seed", "7", "--out", str(out))[0] == 0
+        calls = tmp_path / "calls.csv"
+        calls.write_text("call_id,agent_id,agent_gender,duration,audio_path\n"
+                         "short,agentY,female,30,short.wav\n")
+        code, stdout, _ = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",
+                                  str(calls), "--audio", str(tmp_path), "--out", str(out))
+        assert code == 0
+        assert "rejected short: duration" in stdout
+        assert "no utterances produced" in stdout
+        assert os.listdir(out) == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text()) == {"speaker_splits": {},
+                                                                   "splits": {}}
+
     def test_end_to_end_with_rejections(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         audio_dir = tmp_path / "audio"
@@ -764,3 +801,25 @@ def test_closed_stdout_is_not_an_error(tmp_path, tone_wav, unbuffered):
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert load_features(str(out)).shape == (96, 1000)
+
+
+def test_settable_value_count():
+    """Command-line options (the subcommand counts as one) plus config fields.
+
+    A change that adds or removes a setting updates this count and ROADMAP.md together.
+    """
+    from argparse import _SubParsersAction
+    from dataclasses import fields
+
+    from callseg.cli import _build_parser
+    from callseg.model import ModelConfig
+    from callseg.training import TrainConfig
+
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, _SubParsersAction)]
+    options = 1 + sum(
+        sum(1 for action in sub._actions if action.dest != "help")
+        for sub in commands.choices.values()
+    )
+    config_fields = sum(len(fields(cls)) for cls in (ModelConfig, TrainConfig, SynthSpec))
+    assert (options, config_fields) == (40, 21)
+    assert options + config_fields == 61

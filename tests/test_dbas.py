@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -39,7 +40,7 @@ from callseg.errors import (
     SplitLeakError,
 )
 from callseg.features import load_features
-from callseg.synth import synth_call
+from callseg.synth import SynthSpec, synth_call, synth_corpus
 from tests.conftest import assert_tree_matches_manifest, tree_digest
 
 
@@ -403,6 +404,23 @@ def test_prepare_rerun_with_another_seed_gives_the_fresh_tree(tmp_path):
     prepare(tmp_path / "fresh", 1)
     assert tree_digest(tmp_path / "corpus") == tree_digest(tmp_path / "fresh")
     assert_tree_matches_manifest(tmp_path / "corpus")
+
+
+def test_prepare_rerun_that_cuts_nothing_replaces_the_old_run(tmp_path):
+    root = tmp_path / "corpus"
+    synth_corpus(SynthSpec(train_speakers_per_class=1, val_speakers_per_class=1,
+                           utterances_per_speaker=2, utterance_seconds=0.5),
+                 seed=7, out_root=str(root))
+
+    def loader(_call):
+        pytest.fail("a rejected call's audio was read")
+
+    result = prepare_corpus([call(duration=30.0)], {}, loader, str(root))
+    assert result.rejections == [("c1", "duration")]
+    assert (result.manifest.splits, result.manifest.speaker_splits) == ({}, {})
+    assert os.listdir(root) == ["manifest.json"]
+    assert json.loads((root / "manifest.json").read_text()) == {"speaker_splits": {},
+                                                                "splits": {}}
 
 
 def test_prepare_corpus_rejects_repeated_call_id(tmp_path):

@@ -306,14 +306,11 @@ def old_elu(x):
     return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
 
 
-ACTIVATIONS = {"elu": old_elu, "relu": lambda x: np.maximum(x, 0), "linear": lambda x: x}
-
-
-def reference_forward(model, features, activation):
-    """Activation-then-pool forward with the brute-force pool, dropout off."""
+def reference_forward(model, features):
+    """ELU-then-pool forward with the brute-force pool, dropout off."""
     out = np.asarray(features, dtype=model.dtype)[None, None]
     for conv, _act, pool, _drop in model.blocks:
-        out = reference_maxpool(ACTIVATIONS[activation](conv.forward(out)[0]), pool.kernel)[None]
+        out = reference_maxpool(old_elu(conv.forward(out)[0]), pool.kernel)[None]
     hs1 = model.rnn1.forward(out[:, :, 0, :].transpose(0, 2, 1))
     return softmax(model.head.forward(model.rnn2.forward(hs1)[:, -1]))[0]
 
@@ -329,16 +326,14 @@ def reference_maxpool_backward(x, grad_out, kernel):
     return dx
 
 
-@pytest.mark.parametrize("activation", ["elu", "relu", "linear"])
-def test_model_forward_matches_activation_then_pool(activation):
-    config = ModelConfig(conv_filters=(4, 4, 4, 3), rnn_hidden=(5, 4), input_shape=(96, 41),
-                         conv_activation=activation)
+def test_model_forward_matches_activation_then_pool():
+    config = ModelConfig(conv_filters=(4, 4, 4, 3), rnn_hidden=(5, 4), input_shape=(96, 41))
     model = build_crnn(config, seed=3)
     rng = np.random.default_rng(5)
     for scale in (1.0, 30.0):  # 30: deep ELU saturation, many tied outputs
         x = (scale * rng.standard_normal((96, 41))).astype(np.float32)
         probs = model.forward(x)
-        assert np.array_equal(probs, reference_forward(model, x, activation))
+        assert np.array_equal(probs, reference_forward(model, x))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -201,6 +201,19 @@ class TestCheckpoint:
         header = json.loads(raw[12 : 12 + header_len])
         assert header["label_convention"] == {str(i): n for i, n in enumerate(LABELS_4)}
 
+    def test_header_storing_the_elu_activation_loads(self, tmp_path):
+        """A header config may hold "conv_activation": "elu", as when ELU was a setting."""
+        model = tiny_model(seed=5, n_classes=4)
+        model.normalization = (-3.25, 1.5)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, path)
+        rewrite_checkpoint_header(path, with_config(conv_activation="elu"))
+        back = load_checkpoint(path)
+        assert back.config == model.config
+        assert back.normalization == model.normalization
+        x = np.random.default_rng(9).standard_normal((3, 12, 20)).astype(np.float32)
+        npt.assert_array_equal(back.forward(x), model.forward(x))
+
     def test_truncated_file_rejected(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "m.ckpt"

@@ -11,6 +11,7 @@ from callseg.features import save_features
 from callseg.synth import SynthSpec, synth_corpus
 import callseg.training as training_mod
 from callseg.training import TrainConfig, evaluate, micro_batch_size, scan_corpus, train
+from tests.conftest import write_half_run
 
 TINY_MODEL = dict(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3), input_shape=(96, 50))
 
@@ -124,6 +125,11 @@ class TestTrain:
         with pytest.raises(DataError):
             train(tiny_model(), str(tmp_path), TrainConfig())
 
+    def test_root_without_manifest_raises(self, tmp_path):
+        write_half_run(tmp_path / "corpus")
+        with pytest.raises(DataError, match="manifest.json"):
+            train(tiny_model(), str(tmp_path / "corpus"), TrainConfig(max_epochs=2, patience=5))
+
     def test_divergence_reported_with_context(self, micro_corpus):
         model = tiny_model(n_classes=2)
         model.head.bias[...] = np.float32(np.nan)  # forces non-finite logits
@@ -224,6 +230,11 @@ class TestEvaluate:
     def test_missing_split_raises(self, micro_corpus):
         with pytest.raises(DataError):
             evaluate(tiny_model(), micro_corpus, "test")
+
+    def test_root_without_manifest_raises(self, tmp_path):
+        write_half_run(tmp_path / "corpus")
+        with pytest.raises(DataError, match="manifest.json"):
+            evaluate(tiny_model(), str(tmp_path / "corpus"), "validation")
 
 
 def test_history_csv_format(micro_corpus):
