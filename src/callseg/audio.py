@@ -14,7 +14,7 @@ from scipy.io import wavfile
 
 from .errors import ChannelCountError, FormatError, NumericError, SampleRateError, atomic_write
 
-DEFAULT_SAMPLE_RATE = 8000
+SAMPLE_RATE = 8000
 
 # full-scale divisor per integer PCM dtype
 _PCM_SCALE = {
@@ -49,12 +49,12 @@ class AudioBuffer:
         return len(self.samples)
 
 
-def load_audio(path: str, expected_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
+def load_audio(path: str) -> AudioBuffer:
     """Read a mono PCM WAV file and normalize samples to [-1, 1].
 
     Accepts 8/16/32-bit integer and 32-bit float PCM. Raises
     ChannelCountError for multi-channel files, SampleRateError when the
-    declared rate differs from ``expected_rate``, and FormatError for
+    declared rate is not SAMPLE_RATE, and FormatError for
     anything that is not a readable RIFF/WAV file.
     """
     if not os.path.isfile(path):
@@ -68,8 +68,8 @@ def load_audio(path: str, expected_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuff
         raise ChannelCountError(
             f"{path}: expected 1 channel, got {data.shape[1] if data.ndim > 1 else data.ndim}"
         )
-    if rate != expected_rate:
-        raise SampleRateError(f"{path}: declared rate {rate} Hz, expected {expected_rate} Hz")
+    if rate != SAMPLE_RATE:
+        raise SampleRateError(f"{path}: declared rate {rate} Hz, expected {SAMPLE_RATE} Hz")
 
     if data.dtype == np.uint8:
         samples = (data.astype(np.float64) - 128.0) / _PCM_SCALE[data.dtype]

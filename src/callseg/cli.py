@@ -18,14 +18,13 @@ import sys
 
 from .analyze import analyze_call
 from .audio import load_audio
-from .dbas import CorpusManifest, prepare_corpus, read_calls_csv, read_segments_csv
-from .errors import (CallsegError, ConfigError, DataError, OutputPathError, atomic_write,
-                     read_json_object)
+from .dbas import SPLITS, CorpusManifest, prepare_corpus, read_calls_csv, read_segments_csv
+from .errors import CallsegError, ConfigError, OutputPathError, atomic_write, read_json_object
 from .features import load_features, log_mel_spectrogram, save_features
 from .metrics import confusion_to_csv, scores_to_json
 from .model import ModelConfig, build_crnn, label_names, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, synth_corpus
-from .training import TrainConfig, evaluate, scan_corpus, train
+from .training import TrainConfig, evaluate, split_items, train
 
 
 def _say(line: str, err: bool = False) -> None:
@@ -94,9 +93,9 @@ def _check_output_paths(*paths, directory=False, inputs=()) -> None:
 
 
 def _cmd_features(args) -> int:
-    _echo("features", {"in": args.wav, "out": args.out, "rate": args.rate})
+    _echo("features", {"in": args.wav, "out": args.out})
     _check_output_paths(args.out, inputs=[args.wav])
-    buffer = load_audio(args.wav, expected_rate=args.rate)
+    buffer = load_audio(args.wav)
     spec = log_mel_spectrogram(buffer)
     save_features(args.out, spec.values)
     _say(f"wrote {args.out} shape {spec.values.shape}")
@@ -191,13 +190,9 @@ def _resolve_train_config(args):
         value = getattr(args, flag)
         if value is not None:
             train_cfg[key] = value
-    if args.no_normalize:
-        train_cfg["normalize"] = False
 
     if "input_shape" not in model_cfg:
-        items = scan_corpus(args.corpus, "train")
-        if not items:
-            raise DataError(f"no training data under {args.corpus}")
+        items = split_items(args.corpus, "train")
         model_cfg["input_shape"] = list(load_features(items[0].path).shape)
 
     return ModelConfig.from_dict(model_cfg), TrainConfig.from_dict(train_cfg)
@@ -272,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract a log-mel feature file from a WAV")
     p.add_argument("--in", dest="wav", required=True, help="input mono PCM WAV")
     p.add_argument("--out", required=True, help="output NPY feature file")
-    p.add_argument("--rate", type=int, default=8000, help="required sample rate")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("prepare", help="run the annotation pipeline into a corpus tree")
@@ -305,13 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--history", help="history CSV path (default: <out>.history.csv)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a corpus split")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--split", default="validation")
+    p.add_argument("--split", choices=SPLITS, default="validation")
     p.add_argument("--model", required=True)
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--confusion-csv", help="confusion matrix CSV path")

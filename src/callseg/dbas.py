@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import SAMPLE_RATE, AudioBuffer
 from .errors import (
     ConfigError,
     DataError,
@@ -245,7 +245,7 @@ def segment_samples(audio: AudioBuffer, segments) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def cut_utterances(samples, sample_rate: int = 8000,
+def cut_utterances(samples, sample_rate: int = SAMPLE_RATE,
                    seconds: float = UTTERANCE_SECONDS) -> list[np.ndarray]:
     """Views of floor(len/seconds) consecutive fixed-length utterances; rest dropped.
 

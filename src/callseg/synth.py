@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import SAMPLE_RATE, AudioBuffer
 from .dbas import (
     CorpusManifest,
     CorpusWriter,
@@ -34,9 +34,6 @@ F0_BANDS = {"male": (85.0, 180.0), "female": (165.0, 255.0)}
 # +-3% jitter) so gender stays recoverable
 _F0_SAMPLING = {"male": (92.0, 165.0), "female": (178.0, 247.0)}
 _F0_JITTER = 0.03
-# the highest fundamental synth_speech can draw; a rate whose harmonic cutoff
-# (0.95 x Nyquist) does not exceed it can leave a voice with no harmonic
-_F0_CEILING = max(hi for _lo, hi in _F0_SAMPLING.values()) * (1.0 + _F0_JITTER)
 _TILT = {"male": (1.1, 1.5), "female": (0.55, 0.95)}
 _AM_RATE = {"agent": (6.0, 9.0), "customer": (0.6, 1.6)}
 
@@ -67,7 +64,7 @@ def speaker_voice(class_label: int, rng: np.random.Generator) -> SpeakerVoice:
 
 
 def synth_speech(voice: SpeakerVoice, seconds: float, rng: np.random.Generator,
-                 sample_rate: int = 8000) -> np.ndarray:
+                 sample_rate: int = SAMPLE_RATE) -> np.ndarray:
     """One stretch of continuous synthetic speech for a speaker.
 
     The harmonic stack is scaled by the sum of harmonic amplitudes, a
@@ -113,18 +110,13 @@ class SynthSpec(JsonConfig):
     val_speakers_per_class: int = 2
     utterances_per_speaker: int = 20
     utterance_seconds: float = 10.0
-    sample_rate: int = 8000
 
     def __post_init__(self):
         self._check_field_types()
         if min(self.train_speakers_per_class, self.val_speakers_per_class,
                self.utterances_per_speaker) < 1:
             raise ConfigError("speaker and utterance counts must be >= 1")
-        if not 0.95 * self.sample_rate / 2 > _F0_CEILING:
-            raise ConfigError(f"sample_rate {self.sample_rate} puts the harmonic cutoff "
-                              f"(0.95 x Nyquist) at or below the {_F0_CEILING:.2f} Hz "
-                              "highest fundamental")
-        size = self.utterance_seconds * self.sample_rate
+        size = self.utterance_seconds * SAMPLE_RATE
         if not (math.isfinite(size) and round(size) >= WINDOW):
             raise ConfigError(f"utterance_seconds {self.utterance_seconds} is not finite or "
                               f"gives under one {WINDOW}-sample window")
@@ -152,8 +144,8 @@ def synth_corpus(spec: SynthSpec, seed: int, out_root: str) -> CorpusManifest:
                     )
                     voice = speaker_voice(class_label, rng)
                     for _ in range(spec.utterances_per_speaker):
-                        samples = synth_speech(voice, spec.utterance_seconds, rng, spec.sample_rate)
-                        writer.add(speaker_id, class_label, samples, spec.sample_rate)
+                        samples = synth_speech(voice, spec.utterance_seconds, rng)
+                        writer.add(speaker_id, class_label, samples, SAMPLE_RATE)
                     assignment[split].add(speaker_id)
         return writer.finish(assignment)
 
@@ -164,7 +156,6 @@ def synth_call(
     turns: int = 4,
     turn_seconds: float = 11.0,
     gap_seconds: float = 1.0,
-    sample_rate: int = 8000,
 ):
     """Assemble a two-speaker opposite-gender call with segment annotations.
 
@@ -187,18 +178,18 @@ def synth_call(
     cursor = 0.0
     for i in range(turns):
         role = "agent" if i % 2 == 0 else "customer"
-        speech = synth_speech(voices[role], turn_seconds, rng, sample_rate)
+        speech = synth_speech(voices[role], turn_seconds, rng)
         segments.append(
             SegmentAnnotation(cursor, cursor + turn_seconds, f"speech_{genders[role]}")
         )
         pieces.append(speech)
         cursor += turn_seconds
         if i < turns - 1:
-            gap = 0.02 * rng.standard_normal(int(round(gap_seconds * sample_rate)))
+            gap = 0.02 * rng.standard_normal(int(round(gap_seconds * SAMPLE_RATE)))
             segments.append(SegmentAnnotation(cursor, cursor + gap_seconds, "noise"))
             pieces.append(gap)
             cursor += gap_seconds
 
-    audio = AudioBuffer(np.concatenate(pieces), sample_rate)
+    audio = AudioBuffer(np.concatenate(pieces), SAMPLE_RATE)
     truth = {"agent": agent_label, "customer": customer_label}
     return audio, segments, truth

@@ -3,8 +3,10 @@
 Labels are decoded purely from corpus path components. Training monitors
 validation accuracy (computed with dropout off after every epoch), keeps
 the best-epoch weights, and stops after ``patience`` epochs without
-improvement. Feature normalization statistics come from the training
-split only and are stored on the model so checkpoints stay self-contained.
+improvement. Adam uses the published beta1 0.9, beta2 0.999 and eps 1e-8
+(AdamState's defaults); only its learning rate is set. Feature
+normalization statistics always come from the training split only and
+are stored on the model so checkpoints stay self-contained.
 Both read only a finished corpus run: a root without ``manifest.json``,
 which a failed ``prepare`` or ``synth`` can leave, raises DataError.
 """
@@ -17,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dbas import scan_corpus
+from .dbas import SPLITS, scan_corpus
 from .errors import (
     ConfigError, DataError, DivergenceError, JsonConfig, NumericError, ShapeError,
     atomic_write,
 )
 from .features import load_features
 from .layers import cross_entropy
-from .metrics import confusion
+from .metrics import accuracy, confusion
 from .model import CrnnModel
 from .optim import AdamState, adam_step
 
@@ -39,14 +41,10 @@ BATCH_BYTES = 5 << 19
 @dataclass
 class TrainConfig(JsonConfig):
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 500
     patience: int = 50
     seed: int = 0
-    normalize: bool = True
 
     def __post_init__(self):
         self._check_field_types()
@@ -54,11 +52,8 @@ class TrainConfig(JsonConfig):
             raise ConfigError("batch_size, patience and max_epochs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 < self.learning_rate < math.inf and 0.0 < self.eps < math.inf):
-            raise ConfigError(f"learning_rate and eps must be positive and finite, "
-                              f"got {self.learning_rate} and {self.eps}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1} and {self.beta2}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 @dataclass
@@ -128,12 +123,11 @@ def _eval_items(model, items, labels):
         probs = model.forward(features)
         losses.append(cross_entropy(probs, part))
         preds.append(np.argmax(probs, axis=1))
-    preds = np.concatenate(preds)
-    cm = confusion(preds, labels, model.config.n_classes)
-    return float(np.mean(np.concatenate(losses))), float(np.mean(preds == labels)), cm
+    cm = confusion(np.concatenate(preds), labels, model.config.n_classes)
+    return float(np.mean(np.concatenate(losses))), accuracy(cm), cm
 
 
-def _split_items(corpus_root: str, split: str):
+def split_items(corpus_root: str, split: str):
     """A split's items; DataError if the root has no manifest.json or the split is empty."""
     if not os.path.isfile(os.path.join(corpus_root, "manifest.json")):
         raise DataError(f"{corpus_root} holds no finished corpus run: no manifest.json")
@@ -145,21 +139,17 @@ def _split_items(corpus_root: str, split: str):
 
 def train(model: CrnnModel, corpus_root: str, config: TrainConfig):
     """Train in place; returns (model restored to its best epoch, history)."""
-    train_items = _split_items(corpus_root, "train")
-    val_items = _split_items(corpus_root, "validation")
+    train_items = split_items(corpus_root, "train")
+    val_items = split_items(corpus_root, "validation")
 
     n_classes = model.config.n_classes
     train_labels = _labels_for(train_items, n_classes)
     val_labels = _labels_for(val_items, n_classes)
 
-    if config.normalize:
-        model.normalization = _normalization_stats(train_items)
+    model.normalization = _normalization_stats(train_items)
 
     params = model.param_arrays()
-    state = AdamState.for_params(
-        params, alpha=config.learning_rate, beta1=config.beta1,
-        beta2=config.beta2, eps=config.eps,
-    )
+    state = AdamState.for_params(params, alpha=config.learning_rate)
     dropout_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD0]))
 
     history = TrainHistory()
@@ -216,8 +206,10 @@ class EvalResult:
 
 
 def evaluate(model: CrnnModel, corpus_root: str, split: str) -> EvalResult:
-    """Loss, accuracy and confusion matrix over one split, dropout off."""
-    items = _split_items(corpus_root, split)
+    """Loss, accuracy and confusion matrix over one of dbas.SPLITS, dropout off."""
+    if split not in SPLITS:
+        raise ConfigError(f"split must be one of {', '.join(SPLITS)}, got {split!r}")
+    items = split_items(corpus_root, split)
     labels = _labels_for(items, model.config.n_classes)
     loss, acc, cm = _eval_items(model, items, labels)
     return EvalResult(loss=loss, accuracy=acc, confusion=cm)

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.io import wavfile
 
+import callseg
 from callseg.audio import AudioBuffer, load_audio, save_wav
 from callseg.errors import ChannelCountError, FormatError, NumericError, SampleRateError
 
@@ -34,7 +38,6 @@ def test_wrong_rate_rejected(tmp_path):
     wavfile.write(path, 16000, np.zeros(100, dtype=np.int16))
     with pytest.raises(SampleRateError):
         load_audio(str(path))
-    assert load_audio(str(path), expected_rate=16000).sample_rate == 16000
 
 
 def test_missing_and_malformed_files(tmp_path):
@@ -82,3 +85,20 @@ def test_save_wav_roundtrip(tmp_path):
     save_wav(str(path), buf)
     back = load_audio(str(path))
     npt.assert_allclose(back.samples, buf.samples, atol=1e-4)
+
+
+def rate_literals(path):
+    """(file name, name it is assigned to or None) of each numeric literal 8000 in ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    assigned = {id(node.value): node.targets[0].id for node in ast.walk(tree)
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    return [(path.name, assigned.get(id(node))) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == 8000]
+
+
+def test_one_constant_holds_the_sample_rate():
+    """The package spells the 8 kHz rate once, as audio.SAMPLE_RATE; everything else reads it."""
+    src = Path(callseg.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py")) for hit in rate_literals(path)]
+    assert found == [("audio.py", "SAMPLE_RATE")]

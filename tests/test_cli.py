@@ -78,6 +78,14 @@ class TestFeaturesCommand:
         assert code == 2
         assert "nope.wav" in err
 
+    def test_rate_flag_exits_2(self, capsys, tmp_path, tone_wav):
+        out = tmp_path / "feat.npy"
+        with pytest.raises(SystemExit) as exc:  # every command reads 8 kHz audio only
+            main(["features", "--in", tone_wav, "--out", str(out), "--rate", "8000"])
+        assert exc.value.code == 2
+        assert "--rate" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_deterministic_and_counted(self, capsys, tmp_path):
@@ -104,6 +112,7 @@ class TestSynthCommand:
         ('{"sample_rate": -8000}', "sample_rate"),
         ('{"sample_rate": 1, "utterance_seconds": 300}', "sample_rate"),
         ('{"sample_rate": 300, "utterance_seconds": 1}', "sample_rate"),
+        ('{"sample_rate": 8000}', "sample_rate"),
     ])
     def test_bad_spec_exits_2(self, capsys, tmp_path, content, needle):
         spec = tmp_path / "spec.json"
@@ -209,7 +218,16 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, "train", "--corpus", str(tmp_path / "void"),
                                "--out", str(tmp_path / "m.ckpt"))
         assert code == 2
-        assert "no training data" in err
+        assert "manifest.json" in err
+
+    def test_no_normalize_flag_exits_2(self, capsys, tmp_path, cli_corpus):
+        ckpt = tmp_path / "m.ckpt"
+        with pytest.raises(SystemExit) as exc:  # train always normalizes
+            main(["train", "--corpus", cli_corpus["corpus"], "--out", str(ckpt),
+                  "--filters", "2,2,2,2", "--hidden", "3,3", "--epochs", "1", "--no-normalize"])
+        assert exc.value.code == 2
+        assert "--no-normalize" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_config_file_with_flag_override(self, capsys, tmp_path, cli_corpus):
         config = tmp_path / "config.json"
@@ -247,6 +265,8 @@ class TestTrainCommand:
         ('{"train": {"beta1": 1.0}}', "beta1"),
         ('{"train": {"beta1": -0.1}}', "beta1"),
         ('{"train": {"beta2": 1.5}}', "beta2"),
+        ('{"train": {"beta1": 0.9}}', "beta1"),
+        ('{"train": {"normalize": false}}', "normalize"),
     ])
     def test_bad_config_file_exits_2(self, capsys, tmp_path, cli_corpus, content, needle):
         config = tmp_path / "config.json"
@@ -314,6 +334,21 @@ class TestEvaluateCommand:
                                "--split", "validation", "--model", cli_corpus["ckpt"])
         assert code == 2
         assert "shape" in err.lower()
+
+    def test_split_naming_another_root_exits_2(self, capsys, tmp_path, cli_corpus):
+        from callseg.synth import synth_corpus
+
+        other = tmp_path / "other"
+        synth_corpus(SynthSpec(train_speakers_per_class=1, val_speakers_per_class=1,
+                               utterances_per_speaker=2, utterance_seconds=0.5), 3, str(other))
+        split = os.path.relpath(other / "train", cli_corpus["corpus"])
+        report = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:  # --split names a split, not a path
+            main(["evaluate", "--corpus", cli_corpus["corpus"], "--split", split,
+                  "--model", cli_corpus["ckpt"], "--out", str(report)])
+        assert exc.value.code == 2
+        assert "--split" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_root_without_manifest_exits_2(self, capsys, tmp_path, cli_corpus):
         write_half_run(tmp_path / "corpus")
@@ -821,5 +856,5 @@ def test_settable_value_count():
         for sub in commands.choices.values()
     )
     config_fields = sum(len(fields(cls)) for cls in (ModelConfig, TrainConfig, SynthSpec))
-    assert (options, config_fields) == (40, 21)
-    assert options + config_fields == 61
+    assert (options, config_fields) == (38, 16)
+    assert options + config_fields == 54

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import callseg
-from callseg.errors import DataError, DivergenceError, LayoutError
+from callseg.errors import ConfigError, DataError, DivergenceError, LayoutError
 from callseg.features import save_features
 from callseg.synth import SynthSpec, synth_corpus
 import callseg.training as training_mod
@@ -135,7 +135,7 @@ class TestTrain:
         model.head.bias[...] = np.float32(np.nan)  # forces non-finite logits
         model.normalization = None
         with pytest.raises(DivergenceError) as err:
-            train(model, micro_corpus, TrainConfig(max_epochs=1, patience=1, normalize=False))
+            train(model, micro_corpus, TrainConfig(max_epochs=1, patience=1))
         assert "epoch 1" in str(err.value)
 
     def test_optimizer_steps_per_epoch(self, micro_corpus, monkeypatch):
@@ -228,8 +228,15 @@ class TestEvaluate:
         assert result.accuracy == pytest.approx(np.trace(cm) / cm.sum())
 
     def test_missing_split_raises(self, micro_corpus):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             evaluate(tiny_model(), micro_corpus, "test")
+
+    def test_split_path_raises(self, micro_corpus, tmp_path):
+        other = tmp_path / "other"
+        synth_corpus(SynthSpec(train_speakers_per_class=1, val_speakers_per_class=1,
+                               utterances_per_speaker=2, utterance_seconds=0.5), 3, str(other))
+        with pytest.raises(ConfigError, match="split"):  # another root's split, past our manifest
+            evaluate(tiny_model(), micro_corpus, os.path.relpath(other / "train", micro_corpus))
 
     def test_root_without_manifest_raises(self, tmp_path):
         write_half_run(tmp_path / "corpus")
