@@ -4,51 +4,63 @@ Speech segments of each gender are concatenated into (up to two) speaker
 streams, a fixed-length window slides over each stream at a 1 s shift,
 every window is classified, and the speaker's class probabilities are the
 arithmetic mean over its windows; the spoken verdict is the argmax. The
-window length always matches the model's configured input frames.
+window length always matches the model's configured input frames, and the
+audio must be at SAMPLE_RATE.
 
-Overlapping windows share the front of the model. Each stream's windows are
-cut into tiles of consecutive overlapping windows; log-mel and conv1 ->
-pool1 -> act1 -> conv2 run once over a tile's samples, each window's conv2
-columns are read out of the result, and pool2 onward runs per window. The
-window probabilities are bit-identical to classifying each window alone:
+Overlapping windows share most of their work, and each stream does it
+once. The window probabilities are still bit-identical to classifying
+each window alone:
 
-- Windows in one tile lie a multiple of kw1 * HOP samples apart (kw1 is
-  pool1's time width), so their pool1 pairs line up with the tile's. The
-  windows of a stream are grouped by offset modulo that, and each group is
-  tiled on its own.
-- A log-mel frame depends only on its own samples, and a GEMM column of a
-  convolution only on its own input column, so interior conv2 columns equal
-  the per-window ones. This rests on numpy's FFT and BLAS computing each
-  row and column alone, which tests/test_analyze.py checks bit for bit.
-- Near a window's ends its log-mel reads reflect padding and its convs read
-  zero padding where the tile has real neighbours. Those few conv2 columns
-  come from a conv of a short strip of the window's own first or last
-  frames.
+- Runs. Windows a multiple of kw1 * HOP samples apart (kw1 is pool1's
+  time width) have their pool1 pairs line up. So a stream's windows are
+  grouped by offset modulo that, and each group is cut into runs where
+  two consecutive windows stop overlapping. A run of one window runs
+  whole.
+- Front, in pieces. log-mel and conv1 -> pool1 -> act1 -> conv2 run over
+  pieces of a run's samples, each starting on a multiple of kw1 frames.
+  A piece keeps the conv2 columns that read nothing near its ends (see
+  ``_interior``), so consecutive pieces overlap only by that halo. A
+  piece's conv1 output, its largest array, stays under CHUNK_BYTES.
+- Phases. A window's pool2 groups start at its own conv2 offset, so the
+  windows whose offsets agree modulo pool2's time width kw2 share one
+  pool2 grid, a phase. pool2 -> act2 -> drop2 -> conv3 run once per
+  phase over each piece's conv2 columns, with a 2-column act2 halo for
+  conv3 across pieces. A phase keeps only the act2 and conv3 columns that
+  its unfinished windows still need, so memory is one piece plus about
+  one window per phase, whatever the stream's length.
+- Edges. Near a window's ends its log-mel reads reflect padding and its
+  convs read zero padding where the run has real neighbours. Its first
+  and last act2 columns come from short strips of its own first and last
+  frames, and its edge conv3 columns from a conv3 over those and two of
+  its phase's act2 columns. pool3 onward runs per window.
 
-A tile's conv1 output, its largest array, stays under TILE_BYTES, so memory
-does not grow with the stream. A tile of one window is the per-window
-computation itself.
+This rests on a log-mel frame depending only on its own samples and a
+GEMM column of a convolution only on its own input column, which numpy's
+FFT and BLAS give and tests/test_analyze.py checks bit for bit. A model
+whose windows are too short for edge strips (22 frames or fewer at the
+default pool widths) runs every window whole.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import SAMPLE_RATE, AudioBuffer
 from .dbas import SPEECH_GENDER, segment_samples
-from .errors import ConfigError, NoSpeechError, NoWindowsError
+from .errors import ConfigError, NoSpeechError, NoWindowsError, SampleRateError
 from .features import HOP, WINDOW, log_mel_spectrogram
 from .layers import softmax
 from .model import CrnnModel, label_names
 
-# Budget for the conv1 output of one tile, its largest array: 11 windows of
-# the default model at a 1 s shift. On analyze-default, 72 MiB tiles ran 6%
-# faster than 48 MiB ones but took 15% more peak memory.
-TILE_BYTES = 48 << 20
+# Budget for the conv1 output of one piece of a run, its largest array: 682
+# frames of the default model. With it, analyze-default's peak RSS fell from
+# 206 MB (48 MiB tiles) to 121 MB.
+CHUNK_BYTES = 16 << 20
 # log-mel frames at each end of a buffer that read its reflect padding
 _REFLECT_FRAMES = -(-(WINDOW // 2) // HOP)
 
@@ -92,82 +104,183 @@ def window_count(n_samples: int, window: int, shift: int) -> int:
     return 1 + (n_samples - window) // shift
 
 
-def _edge_strips(frames: int, kw: int):
-    """Where a window's conv2 columns come from: (lo, hi, left, right), or None.
+def _interior(frames: int, kw: int):
+    """(lo, hi): a buffer's conv2 columns lo <= j < hi are those of any longer buffer around it.
 
     conv2 column j reads log-mel frames kw*(j-1)-1 .. kw*(j+2) through pool1
-    and conv1. For lo <= j < hi all of them lie at least _REFLECT_FRAMES
-    inside the window, where the window and its tile agree. The conv of the
-    window's first ``left`` frames gives columns below lo, and the conv of
-    its frames from ``right`` on (a multiple of kw, so that pool pairs line
-    up) gives columns from hi on, by the same bound at each strip's own cut
-    end. None when no column is interior or a strip would cover the window.
+    and conv1 (kw is pool1's time width). For lo <= j < hi all of them lie
+    at least _REFLECT_FRAMES inside the buffer's ``frames`` frames, so the
+    column is the same in a longer buffer that starts a multiple of kw
+    frames earlier.
     """
-    lo = -(-(_REFLECT_FRAMES + 1) // kw) + 1
-    hi = (frames - 1 - _REFLECT_FRAMES) // kw - 1
-    left, right = kw * (lo + 1) + 1 + _REFLECT_FRAMES, kw * (hi - lo)
-    if hi <= lo or left >= frames or right <= 0:
-        return None
-    return lo, hi, left, right
+    return -(-(_REFLECT_FRAMES + 1) // kw) + 1, (frames - 1 - _REFLECT_FRAMES) // kw - 1
 
 
-def _tiles(n_windows: int, window: int, shift: int, period: int, max_samples: int):
-    """Window indices cut into tiles that share a front.
+def _frames_through(cols: int, kw: int) -> int:
+    """Frames of a buffer whose conv2 columns below ``cols`` do not reach its right end."""
+    return kw * (cols + 1) + 1 + _REFLECT_FRAMES
 
-    The windows of a tile lie a multiple of ``period`` samples apart, each
-    overlaps the one before it, and together they span at most
-    ``max_samples``; a window always gets a tile.
-    """
+
+def _runs(n_windows: int, window: int, shift: int, period: int):
+    """Window indices cut into runs: ``period`` samples apart, each overlapping the one before."""
     groups: dict[int, list[int]] = {}
     for i in range(n_windows):
         groups.setdefault(i * shift % period, []).append(i)
     for members in groups.values():
-        tile = members[:1]
+        run = members[:1]
         for i in members[1:]:
-            if (i - tile[-1]) * shift >= window or (i - tile[0]) * shift + window > max_samples:
-                yield tile
-                tile = []
-            tile.append(i)
-        yield tile
+            if (i - run[-1]) * shift >= window:
+                yield run
+                run = []
+            run.append(i)
+        yield run
 
 
-def _window_probs(model: CrnnModel, samples: np.ndarray, rate: int, window: int,
-                  shift: int) -> list[np.ndarray]:
-    """Class probabilities of every window of a stream, in window order."""
-    config = model.config
-    frames, kw = config.input_shape[1], config.pool_kernels[0][1]
-    split = model.layers.index(model.blocks[1][0]) + 1  # through conv2
-    front, back = model.layers[:split], model.layers[split:]
-    width = -(-frames // kw)  # conv2 columns of one window
-    strips = _edge_strips(frames, kw)
-    frame_bytes = config.conv_filters[0] * config.input_shape[0] * model.dtype.itemsize
-    max_samples = max(TILE_BYTES // frame_bytes, frames) * HOP if strips else window
-    lo, hi, left, right = strips or (0, width, frames, 0)
+class _Phase:
+    """One pool2 grid of a run: the act2 and conv3 columns its windows share.
 
-    def conv_front(piece):
-        x = model.normalize(log_mel_spectrogram(AudioBuffer(piece, rate)).values)[None, None]
-        for layer in front:
+    Grid column t pools the run's conv2 columns from ``start + kw2*t``. A
+    window of the phase waits in ``pending`` as (index, d) until its act2
+    columns q_lo..q_hi, grid columns d..d+m, are computed.
+    """
+
+    def __init__(self, start: int):
+        self.start = self.next = self.stop = start  # run conv2 columns: first, next and end group
+        self.pending: deque = deque()
+        # act2 grid columns from act_base on and conv3 ones from conv_base on;
+        # grid column 0's conv3 reads zero padding, and no window needs it
+        self.act = self.conv = None
+        self.act_base, self.conv_base = 0, 1
+
+
+class _Pass:
+    """A model's layers, cut where the windows of a run stop sharing columns."""
+
+    def __init__(self, model: CrnnModel):
+        config = model.config
+        (_, kw1), (_, kw2) = config.pool_kernels[:2]
+        conv3 = model.blocks[2][0]
+        at2, at3 = model.layers.index(model.blocks[1][0]) + 1, model.layers.index(conv3)
+        self.model, self.conv3, self.kw1, self.kw2 = model, conv3, kw1, kw2
+        self.front, self.mid, self.back = (model.layers[:at2], model.layers[at2:at3],
+                                           model.layers[at3 + 1 :])
+        lo, hi = _interior(config.input_shape[1], kw1)
+        # a window's m act2 columns from q_lo to q_hi are its phase's; those
+        # below come from its first `left` frames, and those from q_hi on from
+        # its frames from `right` on, a strip that starts on a whole pool2 group
+        self.lo, self.q_lo, q_hi = lo, -(-lo // kw2), hi // kw2
+        self.m = q_hi - self.q_lo
+        self.left = _frames_through(kw2 * self.q_lo, kw1)
+        self.right = kw1 * (kw2 * q_hi - lo)
+        self.shared = self.m >= 2  # else every window runs whole
+        frame_bytes = config.conv_filters[0] * config.input_shape[0] * model.dtype.itemsize
+        # conv2 columns a piece adds; with its halo, its conv1 output stays under the budget
+        self.step = max(kw2, (CHUNK_BYTES // frame_bytes - 1 - _REFLECT_FRAMES) // kw1 - lo - 1)
+
+    @staticmethod
+    def _forward(x, layers):
+        for layer in layers:
             x = layer.forward(x)
         return x
 
+    def _conv2(self, samples):
+        """The conv2 output of ``samples``' log-mel spectrogram, a (1, C, H, W) map."""
+        x = self.model.normalize(log_mel_spectrogram(AudioBuffer(samples, SAMPLE_RATE)).values)
+        return self._forward(x[None, None], self.front)
+
+    def _probs(self, x):
+        """A window's class probabilities from its conv3 output."""
+        return softmax(self._forward(x, self.back))[0]
+
+    def run(self, samples, offsets, window: int) -> list:
+        """Probabilities of a run's windows, which start at ``offsets`` of ``samples``."""
+        if len(offsets) == 1:
+            x = self._conv2(samples[offsets[0] : offsets[0] + window])
+            return [self._probs(self.conv3.forward(self._forward(x, self.mid)))]
+        kw1, kw2, m = self.kw1, self.kw2, self.m
+        phases: dict[int, _Phase] = {}
+        for k, offset in enumerate(offsets):
+            col = (offset - offsets[0]) // (kw1 * HOP)  # of the run's conv2 columns
+            phase = phases.get(col % kw2)
+            if phase is None:
+                phase = phases[col % kw2] = _Phase(col + kw2 * self.q_lo)
+            d = (col + kw2 * self.q_lo - phase.start) // kw2
+            phase.pending.append((k, d))
+            phase.stop = phase.start + kw2 * (d + m)
+
+        probs = [None] * len(offsets)
+        live = list(phases.values())
+        while live:
+            c0 = min(phase.next for phase in live)
+            c1 = min(c0 + self.step, max(phase.stop for phase in live))
+            first = offsets[0] + kw1 * (c0 - self.lo) * HOP
+            piece = samples[first : offsets[0] + _frames_through(c1, kw1) * HOP]
+            cols = self._conv2(piece)[..., self.lo : self.lo + c1 - c0]  # run columns c0..c1
+            for phase in live:
+                self._extend(phase, cols, c0)
+                done = (phase.next - phase.start) // kw2
+                while phase.pending and phase.pending[0][1] + m <= done:
+                    k, d = phase.pending.popleft()
+                    probs[k] = self._window(samples[offsets[k] : offsets[k] + window], phase, d)
+                self._trim(phase, done)
+            live = [phase for phase in live if phase.pending]
+        return probs
+
+    def _extend(self, phase: _Phase, cols, c0: int):
+        """pool2 -> conv3 over the whole pool2 groups of ``phase`` in run conv2 columns c0...
+
+        conv3 reruns the last two act2 columns already there, so each of its
+        columns reads real neighbours, except grid column 0 and the newest.
+        """
+        n = (min(c0 + cols.shape[-1], phase.stop) - phase.next) // self.kw2
+        if n <= 0:
+            return
+        a = phase.next - c0
+        new = self._forward(cols[..., a : a + self.kw2 * n], self.mid)
+        phase.next += self.kw2 * n
+        act = new if phase.act is None else np.concatenate([phase.act, new], axis=-1)
+        halo = min(2, act.shape[-1] - n)
+        conv = self.conv3.forward(act[..., act.shape[-1] - n - halo :])[..., 1:-1]
+        phase.act = act
+        phase.conv = conv if phase.conv is None else np.concatenate([phase.conv, conv], axis=-1)
+
+    def _trim(self, phase: _Phase, done: int):
+        """Drop the grid columns that no pending window of ``phase`` needs, but conv3's halo."""
+        if not phase.pending:
+            phase.act = phase.conv = None
+            return
+        if phase.act is None:
+            return
+        d = phase.pending[0][1]
+        keep = max(phase.act_base, min(d, done - 2))
+        phase.act, phase.act_base = phase.act[..., keep - phase.act_base :], keep
+        keep = min(d + 1, phase.conv_base + phase.conv.shape[-1])
+        phase.conv, phase.conv_base = phase.conv[..., keep - phase.conv_base :], keep
+
+    def _window(self, samples, phase: _Phase, d: int):
+        """One window's probabilities: its own edge columns around its phase's conv3 columns."""
+        kw2, q_lo, m = self.kw2, self.q_lo, self.m
+        act, a, k = phase.act, d - phase.act_base, d - phase.conv_base
+        left = self._forward(self._conv2(samples[: self.left * HOP])[..., : kw2 * q_lo], self.mid)
+        right = self._forward(self._conv2(samples[self.right * HOP :])[..., self.lo :], self.mid)
+        head = self.conv3.forward(np.concatenate([left, act[..., a : a + 2]], axis=-1))
+        tail = self.conv3.forward(np.concatenate([act[..., a + m - 2 : a + m], right], axis=-1))
+        x = np.concatenate([head[..., : q_lo + 1], phase.conv[..., k + 1 : k + m - 1], tail[..., 1:]],
+                           axis=-1)
+        return self._probs(x)
+
+
+def _window_probs(model: CrnnModel, samples: np.ndarray, window: int, shift: int) -> list:
+    """Class probabilities of every window of a stream, in window order."""
+    layers = _Pass(model)
     probs = [None] * window_count(len(samples), window, shift)
-    for tile in _tiles(len(probs), window, shift, kw * HOP, max_samples):
-        start = tile[0] * shift
-        shared = conv_front(samples[start : tile[-1] * shift + window])
-        for i in tile:
-            piece = samples[i * shift : i * shift + window]
-            col = (i * shift - start) // (kw * HOP)
-            # the tile's own ends are its first window's left and its last window's right end
-            a, b = (0 if i == tile[0] else lo), (width if i == tile[-1] else hi)
-            parts = [shared[..., col + a : col + b]]
-            if a:
-                parts.insert(0, conv_front(piece[: left * HOP])[..., :lo])
-            if b < width:
-                parts.append(conv_front(piece[right * HOP :])[..., lo:])
-            x = np.concatenate(parts, axis=-1)
-            for layer in back:
-                x = layer.forward(x)
-            probs[i] = softmax(x)[0]
+    if layers.shared:
+        runs = _runs(len(probs), window, shift, layers.kw1 * HOP)
+    else:
+        runs = ([i] for i in range(len(probs)))
+    for run in runs:
+        for i, p in zip(run, layers.run(samples, [i * shift for i in run], window)):
+            probs[i] = p
     return probs
 
 
@@ -263,8 +376,11 @@ def analyze_call(
     """Classify every speaker in a call: aggregated verdicts and every window's probabilities.
 
     Streams shorter than one window get a no-windows report entry instead
-    of a padded classification. A shift under one sample raises ConfigError.
+    of a padded classification. Audio at any rate but SAMPLE_RATE raises
+    SampleRateError, and a shift under one sample ConfigError.
     """
+    if audio.sample_rate != SAMPLE_RATE:
+        raise SampleRateError(f"audio at {audio.sample_rate} Hz, expected {SAMPLE_RATE} Hz")
     shift = shift_seconds * audio.sample_rate
     if not math.isfinite(shift) or round(shift) < 1:
         raise ConfigError(f"window shift must be at least one sample, got {shift_seconds} s")
@@ -275,7 +391,7 @@ def analyze_call(
 
     reports = []
     for stream in streams:
-        probs = _window_probs(model, stream.samples, stream.sample_rate, window, shift)
+        probs = _window_probs(model, stream.samples, window, shift)
         verdict = aggregate_speaker(probs) if probs else None
         reports.append(SpeakerReport(stream.slot, stream.gender, stream.duration, verdict, probs))
     return CallAnalysis(

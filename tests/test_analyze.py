@@ -20,7 +20,8 @@ from callseg.analyze import (
 )
 from callseg.audio import AudioBuffer
 from callseg.dbas import SEGMENT_LABELS, SegmentAnnotation
-from callseg.errors import CallsegError, InputError, NoSpeechError, NoWindowsError
+from callseg.errors import (CallsegError, InputError, NoSpeechError, NoWindowsError,
+                            SampleRateError)
 from callseg.features import HOP, log_mel_spectrogram
 
 RATE = 8000
@@ -193,6 +194,15 @@ class TestAnalyzeCall:
         # stream 4.25 s, window 0.25 s, shift 1 s -> offsets 0..4 s
         assert female.verdict.window_count == 5
 
+    def test_other_sample_rate_rejected(self):
+        # at 16 kHz this 250-frame model would slide 1.25 s windows over the call
+        model = callseg.build_crnn(callseg.ModelConfig(n_classes=4, **GOLDEN_CONFIGS["gru"]),
+                                   seed=3)
+        audio = AudioBuffer(noise(30 * 16000), 16000)
+        segments = [seg(0, 15, "speech_female"), seg(15, 30, "speech_male")]
+        with pytest.raises(SampleRateError):
+            analyze_call(audio, segments, model)
+
     def test_report_json_fields(self, fast_model):
         rng = np.random.default_rng(4)
         audio = AudioBuffer(0.1 * rng.standard_normal(2 * RATE), RATE)
@@ -252,14 +262,17 @@ GOLDEN_CONFIGS = {
 }
 
 
-@pytest.fixture(scope="module", params=["fast"] + list(GOLDEN_CONFIGS))
-def golden_model(request, fast_model):
-    if request.param == "fast":
+def golden(name, fast_model):
+    if name == "fast":
         return fast_model
-    model = callseg.build_crnn(callseg.ModelConfig(n_classes=4, **GOLDEN_CONFIGS[request.param]),
-                               seed=3)
+    model = callseg.build_crnn(callseg.ModelConfig(n_classes=4, **GOLDEN_CONFIGS[name]), seed=3)
     model.normalization = (-4.0, 2.5)
     return model
+
+
+@pytest.fixture(scope="module", params=["fast"] + list(GOLDEN_CONFIGS))
+def golden_model(request, fast_model):
+    return golden(request.param, fast_model)
 
 
 class TestSharedFrontGolden:
@@ -281,24 +294,35 @@ class TestSharedFrontGolden:
         n_samples = window_of(golden_model) + 7 * round(shift * RATE)
         assert assert_matches_oracle(golden_model, noise(n_samples), shift) == 8
 
-    @pytest.mark.parametrize("n_windows, tiles", [(3, [3]), (4, [4]), (5, [4, 1])])
-    def test_window_counts_at_the_tile_size(self, monkeypatch, n_windows, tiles):
-        model = callseg.build_crnn(callseg.ModelConfig(n_classes=4, **GOLDEN_CONFIGS["gru"]),
-                                   seed=3)
-        # conv1 output of 4 windows at a 1 s shift: 3 filters x 96 bands x 550 frames
-        monkeypatch.setattr(analyze, "TILE_BYTES", 3 * 96 * 4 * 550)
+    # runs of overlapping windows exist only where a multiple of the shift below
+    # the window is one of kw1 * HOP samples (for lstm-pool1-3x3, 80 shifts of 81
+    # samples make 27 of 240); elsewhere every window runs whole
+    @pytest.mark.parametrize("name, shift, runs", [
+        ("fast", 1.0, False), ("fast", 0.33, False), ("fast", 81 / RATE, False),
+        ("gru", 1.0, True), ("gru", 0.33, True), ("gru", 81 / RATE, False),
+        ("lstm-pool1-3x3", 1.0, False), ("lstm-pool1-3x3", 0.33, True),
+        ("lstm-pool1-3x3", 81 / RATE, True),
+    ])
+    def test_matches_per_window_classification_across_pieces(self, monkeypatch, fast_model,
+                                                              name, shift, runs):
+        model = golden(name, fast_model)
+        frames = model.config.input_shape[1]
+        # pieces of at most 100 frames: every run of these 2.5 s and 2 s windows spans 3 or more
+        monkeypatch.setattr(analyze, "CHUNK_BYTES", 100 * model.config.conv_filters[0] * 96 * 4)
         seen = []
-        plan = analyze._tiles
 
-        def spy(*args):
-            for tile in plan(*args):
-                seen.append(len(tile))
-                yield tile
+        def spy(buffer):
+            seen.append(len(buffer.samples) // HOP)
+            return log_mel_spectrogram(buffer)
 
-        monkeypatch.setattr(analyze, "_tiles", spy)
-        n_samples = window_of(model) + (n_windows - 1) * RATE + RATE // 2
-        assert assert_matches_oracle(model, noise(n_samples), 1.0) == n_windows
-        assert seen == tiles
+        monkeypatch.setattr(analyze, "log_mel_spectrogram", spy)
+        extra = 1.2 if shift < 0.05 else 5.7
+        n_samples = window_of(model) + int(extra * RATE)
+        assert assert_matches_oracle(model, noise(n_samples), shift) > 1
+        # edge strips have at most 16 frames, whole windows all of theirs
+        pieces = [n for n in seen if 16 < n < frames]
+        assert len(pieces) >= 3 if runs else not pieces
+        assert all(n <= 100 for n in pieces)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_default_model_exact_at_blas_threads(self, threads):
@@ -320,8 +344,8 @@ def test_peak_memory_does_not_grow_with_stream_length(monkeypatch):
     config = callseg.ModelConfig(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3),
                                  input_shape=(96, 400))
     model = callseg.build_crnn(config, seed=0)
-    # tiles of 10 s (four 4 s windows at a 2 s shift) of this model's conv1 output
-    monkeypatch.setattr(analyze, "TILE_BYTES", 2 * 96 * 4 * 1000)
+    # pieces of 10 s of this model's conv1 output, where its 4 s windows start 2 s apart
+    monkeypatch.setattr(analyze, "CHUNK_BYTES", 2 * 96 * 4 * 1000)
 
     def peak(seconds):
         audio = AudioBuffer(noise(seconds * RATE), RATE)
@@ -337,6 +361,41 @@ def test_peak_memory_does_not_grow_with_stream_length(monkeypatch):
     short, long = peak(60), peak(600)
     # the stream's own float64 copy of its samples is the one thing that grows
     assert long - short <= (600 - 60) * RATE * 8 + (1 << 20)
+
+
+def test_each_stream_column_is_computed_about_once(monkeypatch):
+    # the default 96x1000 input and pool widths kw1 = 2 and kw2 = 3, with few filters
+    model = callseg.build_crnn(callseg.ModelConfig(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3)),
+                               seed=0)
+    frames, conv3_cols = [], []
+
+    def spy(buffer):
+        frames.append(len(buffer.samples) // HOP)
+        return log_mel_spectrogram(buffer)
+
+    conv3 = model.blocks[2][0]
+    forward = conv3.forward
+
+    def conv3_spy(x, *args, **kwargs):
+        conv3_cols.append(x.shape[-1])
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(analyze, "log_mel_spectrogram", spy)
+    monkeypatch.setattr(conv3, "forward", conv3_spy)
+    analysis = analyze_call(AudioBuffer(noise(60 * RATE), RATE), [seg(0, 60, "speech_male")],
+                            model, shift_seconds=1.0)
+    windows = analysis.speakers[0].verdict.window_count
+    assert windows == 51
+    # a window's strips: its first 11 frames give conv2 columns 0..3, one pool2
+    # group, and its last 16 the groups from act2 column 165 on, which conv2
+    # column 497 reaches; a piece recomputes 3 + 2 conv2 columns, 15 frames
+    strip_frames, halo = 11 + 16, 15
+    pieces = sum(n > 16 for n in frames)
+    assert sum(frames) <= 6000 + windows * strip_frames + pieces * halo
+    # per phase, at most the stream's 1000 pool2 columns, 2 of halo per piece;
+    # per window, conv3 over act2 columns 0..3 and 163..167
+    edge_cols = 3 + 4
+    assert sum(conv3_cols) <= 3 * 1000 + windows * edge_cols + pieces * 3 * 2
 
 
 # ---------------------------------------------------------------------------
