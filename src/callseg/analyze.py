@@ -30,14 +30,17 @@ each window alone:
   one window per phase, whatever the stream's length.
 - Edges. Near a window's ends its log-mel reads reflect padding and its
   convs read zero padding where the run has real neighbours. Its first
-  and last act2 columns come from short strips of its own first and last
-  frames, and its edge conv3 columns from a conv3 over those and two of
-  its phase's act2 columns. pool3 onward runs per window.
+  and last act2 columns come from one edge buffer, its own first frames
+  joined to its last ones, which runs log-mel -> act1 once, conv2 only on
+  the act1 columns those act2 columns read, and pool2 -> act2 once. One
+  conv3 over those act2 columns and the two phase columns next to each
+  gives its edge conv3 columns; the columns that read across a junction
+  are dropped. pool3 onward runs per window.
 
 This rests on a log-mel frame depending only on its own samples and a
 GEMM column of a convolution only on its own input column, which numpy's
 FFT and BLAS give and tests/test_analyze.py checks bit for bit. A model
-whose windows are too short for edge strips (22 frames or fewer at the
+whose windows are too short for edge buffers (22 frames or fewer at the
 default pool widths) runs every window whole.
 """
 
@@ -159,19 +162,22 @@ class _Pass:
     def __init__(self, model: CrnnModel):
         config = model.config
         (_, kw1), (_, kw2) = config.pool_kernels[:2]
-        conv3 = model.blocks[2][0]
-        at2, at3 = model.layers.index(model.blocks[1][0]) + 1, model.layers.index(conv3)
-        self.model, self.conv3, self.kw1, self.kw2 = model, conv3, kw1, kw2
-        self.front, self.mid, self.back = (model.layers[:at2], model.layers[at2:at3],
+        conv2, conv3 = model.blocks[1][0], model.blocks[2][0]
+        at2, at3 = model.layers.index(conv2), model.layers.index(conv3)
+        self.model, self.conv2, self.conv3, self.kw1, self.kw2 = model, conv2, conv3, kw1, kw2
+        self.front, self.mid, self.back = (model.layers[:at2], model.layers[at2 + 1 : at3],
                                            model.layers[at3 + 1 :])
         lo, hi = _interior(config.input_shape[1], kw1)
-        # a window's m act2 columns from q_lo to q_hi are its phase's; those
-        # below come from its first `left` frames, and those from q_hi on from
-        # its frames from `right` on, a strip that starts on a whole pool2 group
+        # a window's m act2 columns from q_lo to q_hi are its phase's; the rest
+        # come from its edge buffer, its first `edge` frames and then its frames
+        # from `right` on, a part that starts on a whole pool2 group. Its conv2
+        # columns below kw2*q_lo read frames up to kw1*(kw2*q_lo + 1), whose
+        # samples all lie in the first part; both parts start on a pool1 pair.
         self.lo, self.q_lo, q_hi = lo, -(-lo // kw2), hi // kw2
         self.m = q_hi - self.q_lo
-        self.left = _frames_through(kw2 * self.q_lo, kw1)
+        self.edge = kw1 * (kw2 * self.q_lo + 1 + -(-_REFLECT_FRAMES // kw1))
         self.right = kw1 * (kw2 * q_hi - lo)
+        self.first = self.edge // kw1 + lo  # the edge buffer's act1 column under conv2's kw2*q_hi
         self.shared = self.m >= 2  # else every window runs whole
         frame_bytes = config.conv_filters[0] * config.input_shape[0] * model.dtype.itemsize
         # conv2 columns a piece adds; with its halo, its conv1 output stays under the budget
@@ -183,8 +189,8 @@ class _Pass:
             x = layer.forward(x)
         return x
 
-    def _conv2(self, samples):
-        """The conv2 output of ``samples``' log-mel spectrogram, a (1, C, H, W) map."""
+    def _front(self, samples):
+        """The conv2 input of ``samples``' log-mel spectrogram, a (1, C, H, W) map."""
         x = self.model.normalize(log_mel_spectrogram(AudioBuffer(samples, SAMPLE_RATE)).values)
         return self._forward(x[None, None], self.front)
 
@@ -195,7 +201,7 @@ class _Pass:
     def run(self, samples, offsets, window: int) -> list:
         """Probabilities of a run's windows, which start at ``offsets`` of ``samples``."""
         if len(offsets) == 1:
-            x = self._conv2(samples[offsets[0] : offsets[0] + window])
+            x = self.conv2.forward(self._front(samples[offsets[0] : offsets[0] + window]))
             return [self._probs(self.conv3.forward(self._forward(x, self.mid)))]
         kw1, kw2, m = self.kw1, self.kw2, self.m
         phases: dict[int, _Phase] = {}
@@ -215,7 +221,8 @@ class _Pass:
             c1 = min(c0 + self.step, max(phase.stop for phase in live))
             first = offsets[0] + kw1 * (c0 - self.lo) * HOP
             piece = samples[first : offsets[0] + _frames_through(c1, kw1) * HOP]
-            cols = self._conv2(piece)[..., self.lo : self.lo + c1 - c0]  # run columns c0..c1
+            cols = self.conv2.forward(self._front(piece))
+            cols = cols[..., self.lo : self.lo + c1 - c0]  # run columns c0..c1
             for phase in live:
                 self._extend(phase, cols, c0)
                 done = (phase.next - phase.start) // kw2
@@ -258,16 +265,21 @@ class _Pass:
         phase.conv, phase.conv_base = phase.conv[..., keep - phase.conv_base :], keep
 
     def _window(self, samples, phase: _Phase, d: int):
-        """One window's probabilities: its own edge columns around its phase's conv3 columns."""
-        kw2, q_lo, m = self.kw2, self.q_lo, self.m
+        """One window's probabilities: its edge columns around its phase's conv3 columns.
+
+        Each layer over its edge buffer keeps the columns that read nothing
+        across the junction of its two parts, and conv2 runs on just the act1
+        columns those read.
+        """
+        c, q_lo, m = self.kw2 * self.q_lo, self.q_lo, self.m
         act, a, k = phase.act, d - phase.act_base, d - phase.conv_base
-        left = self._forward(self._conv2(samples[: self.left * HOP])[..., : kw2 * q_lo], self.mid)
-        right = self._forward(self._conv2(samples[self.right * HOP :])[..., self.lo :], self.mid)
-        head = self.conv3.forward(np.concatenate([left, act[..., a : a + 2]], axis=-1))
-        tail = self.conv3.forward(np.concatenate([act[..., a + m - 2 : a + m], right], axis=-1))
-        x = np.concatenate([head[..., : q_lo + 1], phase.conv[..., k + 1 : k + m - 1], tail[..., 1:]],
-                           axis=-1)
-        return self._probs(x)
+        x = self._front(np.concatenate([samples[: self.edge * HOP], samples[self.right * HOP :]]))
+        x = self.conv2.forward(np.concatenate([x[..., : c + 1], x[..., self.first - 1 :]], axis=-1))
+        x = self._forward(np.concatenate([x[..., :c], x[..., c + 2 :]], axis=-1), self.mid)
+        parts = [x[..., :q_lo], act[..., a : a + 2], act[..., a + m - 2 : a + m], x[..., q_lo:]]
+        x = self.conv3.forward(np.concatenate(parts, axis=-1))
+        parts = [x[..., : q_lo + 1], phase.conv[..., k + 1 : k + m - 1], x[..., q_lo + 3 :]]
+        return self._probs(np.concatenate(parts, axis=-1))
 
 
 def _window_probs(model: CrnnModel, samples: np.ndarray, window: int, shift: int) -> list:

@@ -195,7 +195,10 @@ class Conv2d:
         n, c, h, w = x.shape
         rows = min(h, max(1, COLUMN_BYTES // (9 * c * w * n * x.itemsize)))
         buffer = self.workspace.take(n * c * 9 * rows * w, x.dtype)
-        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        # np.pad without its setup cost: zero the four borders, copy the map in
+        padded = np.empty((n, c, h + 2, w + 2), dtype=x.dtype)
+        padded[:, :, 0] = padded[:, :, -1] = padded[:, :, :, 0] = padded[:, :, :, -1] = 0
+        padded[:, :, 1:-1, 1:-1] = x
         for top in range(0, h, rows):
             bottom = min(top + rows, h)
             cols = buffer[: n * c * 9 * (bottom - top) * w]

@@ -35,13 +35,10 @@ from .errors import ShapeError, StateError
 from .layers import glorot_uniform, orthogonal
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def _previous(states):
@@ -123,12 +120,12 @@ class GRULayer(_Recurrent):
         u_zr = _side_by_side(self.u[:2])
         h = np.zeros((n, self.hidden), dtype=self.w.dtype)
         hs = np.empty((steps, n, self.hidden), dtype=self.w.dtype)
-        for t in range(steps):
+        for t in range(steps):  # each step's last op writes into gates and hs, no copy
             a = gates[t]
-            zr = a[:, :2] = _sigmoid(a[:, :2] + (h @ u_zr).reshape(n, 2, -1))
+            zr = _sigmoid(a[:, :2] + (h @ u_zr).reshape(n, 2, -1), out=a[:, :2])
             z, r = zr[:, 0], zr[:, 1]
-            c = a[:, 2] = np.tanh(a[:, 2] + (r * h) @ self.u[2])
-            h = hs[t] = (1.0 - z) * h + z * c
+            c = np.tanh(a[:, 2] + (r * h) @ self.u[2], out=a[:, 2])
+            h = np.add((1.0 - z) * h, z * c, out=hs[t])
         self._cache = (rows, hs, gates) if training else None
         return hs.transpose(1, 0, 2)
 
@@ -171,12 +168,11 @@ class LSTMLayer(_Recurrent):
             a = gates[t]
             a += (h @ u_all).reshape(n, 4, -1)
             g = np.tanh(a[:, 2])
-            a[...] = _sigmoid(a)
+            _sigmoid(a, out=a)
             a[:, 2] = g
             i, f, _g, o = a.transpose(1, 0, 2)
-            c = cs[t] = f * c + i * g
-            tanh_cs[t] = np.tanh(c)
-            h = hs[t] = o * tanh_cs[t]
+            c = np.add(f * c, i * g, out=cs[t])
+            h = np.multiply(o, np.tanh(c, out=tanh_cs[t]), out=hs[t])
         self._cache = (rows, hs, cs, tanh_cs, gates) if training else None
         return hs.transpose(1, 0, 2)
 

@@ -3,8 +3,9 @@
 Labels are decoded purely from corpus path components. Training monitors
 validation accuracy (computed with dropout off after every epoch), keeps
 the best-epoch weights, and stops after ``patience`` epochs without
-improvement. Adam uses the published beta1 0.9, beta2 0.999 and eps 1e-8
-(AdamState's defaults); only its learning rate is set. Feature
+improvement, or at once when validation accuracy reaches 1.0, which no
+later epoch could beat. Adam uses the published beta1 0.9, beta2 0.999
+and eps 1e-8 (AdamState's defaults); only its learning rate is set. Feature
 normalization statistics always come from the training split only and
 are stored on the model so checkpoints stay self-contained.
 Both read only a finished corpus run: a root without ``manifest.json``,
@@ -188,6 +189,8 @@ def train(model: CrnnModel, corpus_root: str, config: TrainConfig):
         if val_acc > best_acc:
             best_acc, best_params, since_improve = val_acc, model.copy_params(), 0
             history.best_epoch = epoch
+            if best_acc == 1.0:  # no later epoch can beat it
+                break
         else:
             since_improve += 1
             if since_improve >= config.patience:

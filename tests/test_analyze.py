@@ -257,7 +257,7 @@ GOLDEN_CONFIGS = {
     "lstm-pool1-3x3": dict(conv_filters=(3, 2, 2, 2), rnn_hidden=(3, 3), rnn_kind="lstm",
                            input_shape=(96, 201),
                            pool_kernels=((3, 3), (2, 2), (4, 2), (4, 2))),
-    # windows of 12 frames or fewer have no edge strips, so each runs as its own tile
+    # windows of 22 frames or fewer have no edge buffers, so each runs whole
     "short-window": dict(conv_filters=(3, 2, 2, 2), rnn_hidden=(3, 3), input_shape=(96, 12)),
 }
 
@@ -273,6 +273,40 @@ def golden(name, fast_model):
 @pytest.fixture(scope="module", params=["fast"] + list(GOLDEN_CONFIGS))
 def golden_model(request, fast_model):
     return golden(request.param, fast_model)
+
+
+def spy_calls(monkeypatch, model):
+    """Record each log-mel call's frames and each conv3 call's input columns.
+
+    Every record is (window, size): ``window`` numbers the ``_Pass._window``
+    call that made it, in call order, and is None outside one (a piece or a
+    whole window). ``calls["windows"]`` lists the numbers of all such calls.
+    """
+    calls = {"logmel": [], "conv3": [], "windows": []}
+    inside = []
+    real_window, conv3 = analyze._Pass._window, model.blocks[2][0]
+    conv3_forward = conv3.forward
+
+    def window_spy(self, *args):
+        calls["windows"].append(len(calls["windows"]))
+        inside.append(calls["windows"][-1])
+        try:
+            return real_window(self, *args)
+        finally:
+            inside.pop()
+
+    def logmel_spy(buffer):
+        calls["logmel"].append((inside[-1] if inside else None, len(buffer.samples) // HOP))
+        return log_mel_spectrogram(buffer)
+
+    def conv3_spy(x, *args, **kwargs):
+        calls["conv3"].append((inside[-1] if inside else None, x.shape[-1]))
+        return conv3_forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(analyze._Pass, "_window", window_spy)
+    monkeypatch.setattr(analyze, "log_mel_spectrogram", logmel_spy)
+    monkeypatch.setattr(conv3, "forward", conv3_spy)
+    return calls
 
 
 class TestSharedFrontGolden:
@@ -309,20 +343,31 @@ class TestSharedFrontGolden:
         frames = model.config.input_shape[1]
         # pieces of at most 100 frames: every run of these 2.5 s and 2 s windows spans 3 or more
         monkeypatch.setattr(analyze, "CHUNK_BYTES", 100 * model.config.conv_filters[0] * 96 * 4)
-        seen = []
-
-        def spy(buffer):
-            seen.append(len(buffer.samples) // HOP)
-            return log_mel_spectrogram(buffer)
-
-        monkeypatch.setattr(analyze, "log_mel_spectrogram", spy)
+        calls = spy_calls(monkeypatch, model)
         extra = 1.2 if shift < 0.05 else 5.7
         n_samples = window_of(model) + int(extra * RATE)
         assert assert_matches_oracle(model, noise(n_samples), shift) > 1
-        # edge strips have at most 16 frames, whole windows all of theirs
-        pieces = [n for n in seen if 16 < n < frames]
+        # edge buffers come from inside a window's edge pass; whole windows have all their frames
+        pieces = [n for window, n in calls["logmel"] if window is None and n < frames]
         assert len(pieces) >= 3 if runs else not pieces
         assert all(n <= 100 for n in pieces)
+
+    # edge buffers: the first 10 frames and the last 16 of a 250-frame window,
+    # the first 12 and the last 15 of a 201-frame one
+    @pytest.mark.parametrize("name, shift, edge_frames", [
+        ("gru", 1.0, 26), ("gru", 0.33, 26), ("lstm-pool1-3x3", 0.33, 27),
+    ])
+    def test_one_edge_buffer_and_one_edge_conv3_per_window(self, monkeypatch, fast_model, name,
+                                                            shift, edge_frames):
+        model = golden(name, fast_model)
+        calls = spy_calls(monkeypatch, model)
+        n_windows = assert_matches_oracle(model, noise(window_of(model) + int(5.7 * RATE)), shift)
+        edges = {kind: [(w, n) for w, n in calls[kind] if w is not None]
+                 for kind in ("logmel", "conv3")}
+        assert len(calls["windows"]) > n_windows // 2
+        for kind in ("logmel", "conv3"):
+            assert [w for w, _n in edges[kind]] == calls["windows"]
+        assert {n for _w, n in edges["logmel"]} == {edge_frames}
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_default_model_exact_at_blas_threads(self, threads):
@@ -367,34 +412,22 @@ def test_each_stream_column_is_computed_about_once(monkeypatch):
     # the default 96x1000 input and pool widths kw1 = 2 and kw2 = 3, with few filters
     model = callseg.build_crnn(callseg.ModelConfig(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3)),
                                seed=0)
-    frames, conv3_cols = [], []
-
-    def spy(buffer):
-        frames.append(len(buffer.samples) // HOP)
-        return log_mel_spectrogram(buffer)
-
-    conv3 = model.blocks[2][0]
-    forward = conv3.forward
-
-    def conv3_spy(x, *args, **kwargs):
-        conv3_cols.append(x.shape[-1])
-        return forward(x, *args, **kwargs)
-
-    monkeypatch.setattr(analyze, "log_mel_spectrogram", spy)
-    monkeypatch.setattr(conv3, "forward", conv3_spy)
+    calls = spy_calls(monkeypatch, model)
     analysis = analyze_call(AudioBuffer(noise(60 * RATE), RATE), [seg(0, 60, "speech_male")],
                             model, shift_seconds=1.0)
     windows = analysis.speakers[0].verdict.window_count
     assert windows == 51
-    # a window's strips: its first 11 frames give conv2 columns 0..3, one pool2
-    # group, and its last 16 the groups from act2 column 165 on, which conv2
-    # column 497 reaches; a piece recomputes 3 + 2 conv2 columns, 15 frames
-    strip_frames, halo = 11 + 16, 15
-    pieces = sum(n > 16 for n in frames)
-    assert sum(frames) <= 6000 + windows * strip_frames + pieces * halo
+    frames = [n for _w, n in calls["logmel"]]
+    conv3_cols = [n for _w, n in calls["conv3"]]
+    # a window's edge buffer: its first 10 frames give conv2 columns 0..2, one
+    # pool2 group, and its last 16 the groups from act2 column 165 on, which
+    # conv2 column 495 starts; a piece recomputes 3 + 2 conv2 columns, 15 frames
+    edge_frames, halo = 10 + 16, 15
+    pieces = sum(w is None for w, _n in calls["logmel"])
+    assert sum(frames) <= 6000 + windows * edge_frames + pieces * halo
     # per phase, at most the stream's 1000 pool2 columns, 2 of halo per piece;
-    # per window, conv3 over act2 columns 0..3 and 163..167
-    edge_cols = 3 + 4
+    # per window, one conv3 over act2 columns 0, 1..2, 163..164 and 165..166
+    edge_cols = 1 + 2 + 2 + 2
     assert sum(conv3_cols) <= 3 * 1000 + windows * edge_cols + pieces * 3 * 2
 
 

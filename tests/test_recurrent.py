@@ -6,11 +6,43 @@ import pytest
 
 from callseg.errors import ShapeError
 from callseg.layers import glorot_uniform, orthogonal
-from callseg.recurrent import GRULayer, LSTMLayer
+from callseg.recurrent import GRULayer, LSTMLayer, _sigmoid
 
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def two_branch_sigmoid(x):
+    """Sigmoid with a mask per branch: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_the_two_branch_formula_bit_for_bit(dtype):
+    info = np.finfo(dtype)
+    bits = np.dtype(f"u{info.bits // 8}")
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0], dtype=dtype)
+    # where exp(|x|) overflows and exp(-|x|) turns subnormal or zero, 4 steps either side
+    edges = np.array([info.max, info.tiny, info.smallest_subnormal], dtype=dtype)
+    edges = np.concatenate([np.log(edges), edges])
+    near = (edges.view(bits)[:, None] + np.arange(-4, 5).astype(bits)).view(dtype).ravel()
+    if dtype is np.float32:  # every 4093rd bit pattern
+        sweep = np.arange(0, 2**32, 4093, dtype=np.uint64).astype(np.uint32).view(dtype)
+    else:
+        sweep = np.random.default_rng(0).integers(0, 2**64, 1 << 20, dtype=np.uint64).view(dtype)
+    x = np.concatenate([special, near, -near, sweep])
+    with np.errstate(invalid="ignore"):  # exp of a signalling NaN pattern warns in both
+        got, want = _sigmoid(x), two_branch_sigmoid(x)
+    assert got.dtype == want.dtype == dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(bits), want[~nan].view(bits))
 
 
 def zeroed(layer):

@@ -77,6 +77,22 @@ class TestTrain:
         assert len(history) == 1 + 3
         assert history.best_epoch == 1
 
+    def test_stops_at_the_first_epoch_with_perfect_validation_accuracy(self, micro_corpus,
+                                                                       monkeypatch):
+        # validation accuracy 0.5, then 1.0: no later epoch could be kept
+        scores = iter([0.5, 1.0, 0.5, 0.5, 0.5, 0.5])
+        evaluate_items = training_mod._eval_items
+
+        def scripted(model, items, labels):
+            loss, _acc, cm = evaluate_items(model, items, labels)
+            return loss, next(scores), cm
+
+        monkeypatch.setattr(training_mod, "_eval_items", scripted)
+        model = tiny_model(n_classes=2)
+        _model, history = train(model, micro_corpus, TrainConfig(max_epochs=6, patience=5, seed=0))
+        assert history.val_acc == [0.5, 1.0]
+        assert history.best_epoch == 2
+
     def test_runs_exactly_max_epochs_when_patience_never_exhausted(self, micro_corpus):
         model = tiny_model(n_classes=2)
         config = TrainConfig(max_epochs=3, patience=10, seed=0)
