@@ -6,7 +6,7 @@ where the energy of a pure tone lands in the mel filterbank.
 
 import numpy as np
 
-from callseg import AudioBuffer, log_mel_spectrogram, mel_filterbank, save_features
+from callseg import MEL_FILTERBANK, AudioBuffer, log_mel_spectrogram, save_features
 
 RATE = 8000
 
@@ -22,7 +22,7 @@ print(f"value range: [{spec.values.min():.2f}, {spec.values.max():.2f}]")
 
 # which mel band holds the tone?
 band = int(np.argmax(spec.values.mean(axis=1)))
-weights = mel_filterbank(RATE)
+weights = MEL_FILTERBANK
 bin_freqs = np.arange(weights.shape[1]) * RATE / 256
 center = bin_freqs[np.argmax(weights[band])]
 print(f"most energetic mel band: {band} (peak response near {center:.0f} Hz)")

@@ -29,10 +29,10 @@ from .dbas import (
     prepare_corpus,
 )
 from .features import (
+    MEL_FILTERBANK,
     MelSpectrogram,
     load_features,
     log_mel_spectrogram,
-    mel_filterbank,
     save_features,
 )
 from .gradcheck import gradient_check

@@ -4,8 +4,7 @@ Speech segments of each gender are concatenated into (up to two) speaker
 streams, a fixed-length window slides over each stream at a 1 s shift,
 every window is classified, and the speaker's class probabilities are the
 arithmetic mean over its windows; the spoken verdict is the argmax. The
-window length always matches the model's configured input frames, and the
-audio must be at SAMPLE_RATE.
+window length always matches the model's configured input frames.
 
 Overlapping windows share most of their work, and each stream does it
 once. The window probabilities are still bit-identical to classifying
@@ -55,7 +54,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, AudioBuffer
 from .dbas import SPEECH_GENDER, segment_samples
-from .errors import ConfigError, NoSpeechError, NoWindowsError, SampleRateError
+from .errors import ConfigError, NoSpeechError, NoWindowsError
 from .features import HOP, WINDOW, log_mel_spectrogram
 from .layers import softmax
 from .model import CrnnModel, label_names
@@ -75,11 +74,10 @@ class SpeakerStream:
     slot: int
     gender: str
     samples: np.ndarray
-    sample_rate: int
 
     @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
 
 def build_speaker_streams(audio: AudioBuffer, segments) -> list[SpeakerStream]:
@@ -95,7 +93,7 @@ def build_speaker_streams(audio: AudioBuffer, segments) -> list[SpeakerStream]:
     if not by_gender:
         raise NoSpeechError("call contains no speech segments")
     return [
-        SpeakerStream(i, gender, segment_samples(audio, segs), audio.sample_rate)
+        SpeakerStream(i, gender, segment_samples(audio, segs))
         for i, (gender, segs) in enumerate(by_gender.items())
     ]
 
@@ -388,12 +386,9 @@ def analyze_call(
     """Classify every speaker in a call: aggregated verdicts and every window's probabilities.
 
     Streams shorter than one window get a no-windows report entry instead
-    of a padded classification. Audio at any rate but SAMPLE_RATE raises
-    SampleRateError, and a shift under one sample ConfigError.
+    of a padded classification. A shift under one sample raises ConfigError.
     """
-    if audio.sample_rate != SAMPLE_RATE:
-        raise SampleRateError(f"audio at {audio.sample_rate} Hz, expected {SAMPLE_RATE} Hz")
-    shift = shift_seconds * audio.sample_rate
+    shift = shift_seconds * SAMPLE_RATE
     if not math.isfinite(shift) or round(shift) < 1:
         raise ConfigError(f"window shift must be at least one sample, got {shift_seconds} s")
     shift = int(round(shift))
@@ -408,7 +403,7 @@ def analyze_call(
         reports.append(SpeakerReport(stream.slot, stream.gender, stream.duration, verdict, probs))
     return CallAnalysis(
         speakers=reports,
-        window_seconds=window / audio.sample_rate,
+        window_seconds=window / SAMPLE_RATE,
         shift_seconds=shift_seconds,
         n_classes=model.config.n_classes,
     )

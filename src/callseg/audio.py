@@ -26,7 +26,7 @@ _PCM_SCALE = {
 
 @dataclass
 class AudioBuffer:
-    """A mono signal: float64 samples in [-1, 1] plus its sample rate."""
+    """Mono float64 samples in [-1, 1]; any rate but SAMPLE_RATE raises SampleRateError."""
 
     samples: np.ndarray
     sample_rate: int
@@ -35,8 +35,8 @@ class AudioBuffer:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ChannelCountError(f"expected mono signal, got ndim={self.samples.ndim}")
-        if self.sample_rate <= 0:
-            raise FormatError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.sample_rate != SAMPLE_RATE:
+            raise SampleRateError(f"audio at {self.sample_rate!r} Hz, expected {SAMPLE_RATE} Hz")
         if not np.all(np.isfinite(self.samples)):
             raise NumericError("audio samples contain non-finite values")
 
@@ -80,11 +80,11 @@ def load_audio(path: str) -> AudioBuffer:
     else:
         raise FormatError(f"{path}: unsupported sample format {data.dtype}")
 
-    return AudioBuffer(samples=samples, sample_rate=int(rate))
+    return AudioBuffer(samples=samples, sample_rate=SAMPLE_RATE)
 
 
 def save_wav(path: str, buffer: AudioBuffer) -> None:
     """Write an AudioBuffer as 16-bit PCM WAV (used by the synthetic pipeline)."""
     scaled = np.clip(buffer.samples, -1.0, 1.0) * 32767.0
     with atomic_write(path, "wb") as fh:
-        wavfile.write(fh, buffer.sample_rate, scaled.astype(np.int16))
+        wavfile.write(fh, SAMPLE_RATE, scaled.astype(np.int16))

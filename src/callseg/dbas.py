@@ -228,33 +228,38 @@ def consistency_filter(history) -> set:
 # utterances and the corpus tree
 
 def segment_samples(audio: AudioBuffer, segments) -> np.ndarray:
-    """The samples of ``segments``, cut at round(t * rate) and concatenated in order.
+    """The samples of ``segments``, cut at round(t * SAMPLE_RATE) and concatenated in order.
 
     A segment that ends after the last sample raises InputError.
     """
-    rate = audio.sample_rate
     pieces = []
     for seg in segments:
         # a huge finite end overflows to inf at the sample rate
-        hi = seg.end * rate
+        hi = seg.end * SAMPLE_RATE
         if not math.isfinite(hi) or round(hi) > len(audio.samples):
             raise InputError(
                 f"segment [{seg.start}, {seg.end}) ends after the audio ({audio.duration} s)"
             )
-        pieces.append(audio.samples[round(seg.start * rate) : round(hi)])
+        pieces.append(audio.samples[round(seg.start * SAMPLE_RATE) : round(hi)])
     return np.concatenate(pieces)
 
 
-def cut_utterances(samples, sample_rate: int = SAMPLE_RATE,
-                   seconds: float = UTTERANCE_SECONDS) -> list[np.ndarray]:
+def utterance_samples(seconds: float) -> int:
+    """round(seconds * SAMPLE_RATE); ConfigError unless finite and at least one WINDOW."""
+    size = seconds * SAMPLE_RATE
+    if not (math.isfinite(size) and round(size) >= WINDOW):
+        raise ConfigError(f"utterance length must be finite and give at least one "
+                          f"{WINDOW}-sample window, got utterance_seconds={seconds}")
+    return int(round(size))
+
+
+def cut_utterances(samples, seconds: float = UTTERANCE_SECONDS) -> list[np.ndarray]:
     """Views of floor(len/seconds) consecutive fixed-length utterances; rest dropped.
 
-    An utterance shorter than one log-mel analysis window raises ConfigError.
+    A length that ``utterance_samples`` rejects raises ConfigError.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    size = int(round(seconds * sample_rate))
-    if size < WINDOW:
-        raise ConfigError(f"utterance length {seconds} s is under one {WINDOW}-sample window")
+    size = utterance_samples(seconds)
     return [samples[i * size : (i + 1) * size] for i in range(len(samples) // size)]
 
 
@@ -371,14 +376,14 @@ class CorpusWriter:
         shutil.rmtree(self.root if exc_type and self._new_root else self.staging,
                       ignore_errors=True)
 
-    def add(self, speaker_id: str, class_label: int, samples, rate: int) -> None:
+    def add(self, speaker_id: str, class_label: int, samples) -> None:
         """Stage one utterance as the speaker's next number, counted from 0."""
         labels = self.counts.setdefault(speaker_id, {})
         leaf = _leaf(self.staging, speaker_id, class_label)
         if class_label not in labels:
             os.makedirs(leaf, exist_ok=True)
             labels[class_label] = 0
-        spec = log_mel_spectrogram(AudioBuffer(samples, rate))
+        spec = log_mel_spectrogram(AudioBuffer(samples, SAMPLE_RATE))
         save_features(os.path.join(leaf, f"{sum(labels.values())}.npy"), spec.values)
         labels[class_label] += 1
 
@@ -466,8 +471,7 @@ def prepare_corpus(
     """
     if not 0.0 <= val_fraction <= 1.0:
         raise ConfigError(f"validation fraction must be in [0, 1], got {val_fraction}")
-    if not 0.0 < utterance_seconds < math.inf:
-        raise ConfigError(f"utterance length must be positive and finite, got {utterance_seconds}")
+    utterance_samples(utterance_seconds)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     repeated = sorted(i for i, n in Counter(c.call_id for c in calls).items() if n > 1)
@@ -505,8 +509,8 @@ def prepare_corpus(
                 if side.speaker_id not in retained:
                     continue
                 samples = segment_samples(audio, side.segments)
-                for utterance in cut_utterances(samples, audio.sample_rate, utterance_seconds):
-                    writer.add(side.speaker_id, side.class_label, utterance, audio.sample_rate)
+                for utterance in cut_utterances(samples, utterance_seconds):
+                    writer.add(side.speaker_id, side.class_label, utterance)
 
         speakers = sorted(writer.counts)
         rng = np.random.default_rng(seed)

@@ -24,7 +24,7 @@ class ChannelCountError(FormatError):
 
 
 class SampleRateError(FormatError):
-    """Audio file's declared sample rate differs from the expected rate."""
+    """Audio, a file's or any buffer's, is not at the one supported sample rate."""
 
 
 class TooShortError(CallsegError):

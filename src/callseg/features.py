@@ -14,12 +14,11 @@ original signal, so an 80000-sample buffer yields exactly 1000 frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer
+from .audio import SAMPLE_RATE, AudioBuffer
 from .errors import FormatError, ShapeError, TooShortError, atomic_write
 
 N_MELS = 96
@@ -40,19 +39,17 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=16)
-def mel_filterbank(sample_rate: int) -> np.ndarray:
+def _mel_filterbank() -> np.ndarray:
     """The (N_MELS, N_FFT//2 + 1) triangular mel filterbank, fmin=0, fmax=Nyquist.
 
     Filters are unit-peak triangles sampled at the FFT bin frequencies and
     equally spaced on the mel scale. A triangle too narrow to touch any bin
     contributes weight 1.0 at the bin nearest its center, so every row stays
-    non-empty. Memoized per sample rate and shared between callers, so the
-    array is read-only; ``mel_filterbank.__wrapped__`` builds afresh.
+    non-empty.
     """
     n_bins = N_FFT // 2 + 1
-    bin_freqs = np.arange(n_bins) * sample_rate / N_FFT
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), N_MELS + 2)
+    bin_freqs = np.arange(n_bins) * SAMPLE_RATE / N_FFT
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2.0), N_MELS + 2)
     hz_points = mel_to_hz(mel_points)
 
     weights = np.zeros((N_MELS, n_bins), dtype=np.float64)
@@ -67,6 +64,9 @@ def mel_filterbank(sample_rate: int) -> np.ndarray:
 
     weights.flags.writeable = False
     return weights
+
+
+MEL_FILTERBANK = _mel_filterbank()
 
 
 @dataclass
@@ -97,7 +97,7 @@ def log_mel_spectrogram(buffer: AudioBuffer) -> MelSpectrogram:
     spectrum = np.fft.rfft(frames * HANN, n=N_FFT, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
 
-    mel_energy = power @ mel_filterbank(buffer.sample_rate).T
+    mel_energy = power @ MEL_FILTERBANK.T
     values = np.log(mel_energy + LOG_FLOOR).T.astype(np.float32)
     return MelSpectrogram(values=values)
 

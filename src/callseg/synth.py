@@ -12,7 +12,6 @@ voices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,9 @@ from .dbas import (
     class_label_of,
     gender_of,
     role_of,
+    utterance_samples,
 )
 from .errors import ConfigError, JsonConfig, read_json_object
-from .features import WINDOW
 
 F0_BANDS = {"male": (85.0, 180.0), "female": (165.0, 255.0)}
 # sample away from the band overlap (and inside it even after the per-utterance
@@ -116,10 +115,7 @@ class SynthSpec(JsonConfig):
         if min(self.train_speakers_per_class, self.val_speakers_per_class,
                self.utterances_per_speaker) < 1:
             raise ConfigError("speaker and utterance counts must be >= 1")
-        size = self.utterance_seconds * SAMPLE_RATE
-        if not (math.isfinite(size) and round(size) >= WINDOW):
-            raise ConfigError(f"utterance_seconds {self.utterance_seconds} is not finite or "
-                              f"gives under one {WINDOW}-sample window")
+        utterance_samples(self.utterance_seconds)
 
     @classmethod
     def from_json_file(cls, path: str) -> "SynthSpec":
@@ -145,7 +141,7 @@ def synth_corpus(spec: SynthSpec, seed: int, out_root: str) -> CorpusManifest:
                     voice = speaker_voice(class_label, rng)
                     for _ in range(spec.utterances_per_speaker):
                         samples = synth_speech(voice, spec.utterance_seconds, rng)
-                        writer.add(speaker_id, class_label, samples, SAMPLE_RATE)
+                        writer.add(speaker_id, class_label, samples)
                     assignment[split].add(speaker_id)
         return writer.finish(assignment)
 

@@ -73,10 +73,16 @@ def test_pcm_formats_normalized(tmp_path, dtype, scale):
 def test_buffer_invariants():
     with pytest.raises(NumericError):
         AudioBuffer(np.array([0.0, np.nan]), 8000)
-    with pytest.raises(FormatError):
+    with pytest.raises(SampleRateError):
         AudioBuffer(np.zeros(10), 0)
     with pytest.raises(ChannelCountError):
         AudioBuffer(np.zeros((10, 2)), 8000)
+
+
+@pytest.mark.parametrize("rate", [16000, "8000"], ids=["16000", "str-8000"])
+def test_buffer_at_another_rate_rejected(rate):
+    with pytest.raises(SampleRateError):
+        AudioBuffer(np.zeros(8000), rate)
 
 
 def test_save_wav_roundtrip(tmp_path):
@@ -102,3 +108,31 @@ def test_one_constant_holds_the_sample_rate():
     src = Path(callseg.__file__).parent
     found = [hit for path in sorted(src.glob("*.py")) for hit in rate_literals(path)]
     assert found == [("audio.py", "SAMPLE_RATE")]
+
+
+def rate_holders(path):
+    """(file name, function or class, name) of each parameter or class field named like a rate."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg) if a is not None]
+        elif isinstance(node, ast.ClassDef):
+            names = [stmt.target.id for stmt in node.body
+                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        else:
+            continue
+        found += [(path.name, getattr(node, "name", "<lambda>"), name)
+                  for name in names if name in ("rate", "sample_rate")]
+    return found
+
+
+def test_only_the_buffer_carries_a_rate():
+    """No parameter or field passes a rate around: AudioBuffer checks it, the rest reads
+    SAMPLE_RATE. synth_speech keeps its 4th parameter, which callers outside the package pass."""
+    src = Path(callseg.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py")) for hit in rate_holders(path)]
+    assert found == [("audio.py", "AudioBuffer", "sample_rate"),
+                     ("synth.py", "synth_speech", "sample_rate")]

@@ -676,6 +676,21 @@ class TestPrepareCommand:
         assert json.loads((out / "manifest.json").read_text()) == {"speaker_splits": {},
                                                                    "splits": {}}
 
+    def test_short_utterance_exits_2_and_keeps_the_old_run(self, capsys, tmp_path):
+        out = tmp_path / "corpus"
+        assert run_cli(capsys, "synth", "--spec", write_spec(tmp_path / "spec.json"),
+                       "--seed", "7", "--out", str(out))[0] == 0
+        before = tree_digest(out)
+        calls = tmp_path / "calls.csv"
+        calls.write_text("call_id,agent_id,agent_gender,duration,audio_path\n"
+                         "short,agentY,female,30,short.wav\n")
+        code, _, err = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",
+                               str(calls), "--audio", str(tmp_path), "--out", str(out),
+                               "--utterance-seconds", "0.001")
+        assert code == 2
+        assert "utterance length" in err
+        assert tree_digest(out) == before
+
     def test_end_to_end_with_rejections(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         audio_dir = tmp_path / "audio"

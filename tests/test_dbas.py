@@ -31,6 +31,7 @@ from callseg.dbas import (
     segment_samples,
 )
 from callseg.errors import (
+    ConfigError,
     DataError,
     FormatError,
     InputError,
@@ -146,6 +147,11 @@ class TestCutUtterances:
         assert len(utts) == 2
         assert len(utts[0]) == 20000
 
+    @pytest.mark.parametrize("seconds", [0.001, 0.0, -1.0, math.inf, math.nan, 1e305])
+    def test_bad_length_raises_config_error(self, seconds):
+        with pytest.raises(ConfigError, match="utterance length"):
+            cut_utterances(np.zeros(50000), seconds=seconds)
+
 
 def test_two_class_label_is_four_class_halved():
     for role in ("customer", "agent"):
@@ -166,7 +172,7 @@ class TestWriteCorpus:
         with CorpusWriter(root) as writer:
             for speaker, label, count in speakers:
                 for _ in range(count):
-                    writer.add(speaker, label, 0.1 * rng.standard_normal(80000), 8000)
+                    writer.add(speaker, label, 0.1 * rng.standard_normal(80000))
             return writer.finish(split)
 
     def test_paths_follow_template(self, tmp_path):
@@ -421,6 +427,20 @@ def test_prepare_rerun_that_cuts_nothing_replaces_the_old_run(tmp_path):
     assert os.listdir(root) == ["manifest.json"]
     assert json.loads((root / "manifest.json").read_text()) == {"speaker_splits": {},
                                                                 "splits": {}}
+
+
+def test_prepare_rejects_a_short_utterance_before_touching_the_root(tmp_path):
+    root = tmp_path / "corpus"
+    synth_corpus(SynthSpec(train_speakers_per_class=1, val_speakers_per_class=1,
+                           utterances_per_speaker=2, utterance_seconds=0.5),
+                 seed=7, out_root=str(root))
+    before = tree_digest(root)
+    with pytest.raises(ConfigError, match="utterance length"):
+        # the call is rejected for its duration, so no utterance would be cut
+        prepare_corpus([call(duration=30.0)], {}, lambda _call: None, str(root),
+                       utterance_seconds=0.001)
+    assert tree_digest(root) == before
+    assert sorted(os.listdir(root)) == ["manifest.json", "train", "validation"]
 
 
 def test_prepare_corpus_rejects_repeated_call_id(tmp_path):
