@@ -26,6 +26,7 @@ from .dbas import (
     cut_utterances,
     dbas_label,
     filter_calls,
+    label_names,
     prepare_corpus,
 )
 from .features import (
@@ -42,7 +43,6 @@ from .model import (
     CrnnModel,
     ModelConfig,
     build_crnn,
-    label_names,
     load_checkpoint,
     save_checkpoint,
 )

@@ -4,7 +4,8 @@ Speech segments of each gender are concatenated into (up to two) speaker
 streams, a fixed-length window slides over each stream at a 1 s shift,
 every window is classified, and the speaker's class probabilities are the
 arithmetic mean over its windows; the spoken verdict is the argmax. The
-window length always matches the model's configured input frames.
+window length always matches the model's configured input frames, and a
+model whose input is not N_MELS (96) bands high raises ShapeError.
 
 Overlapping windows share most of their work, and each stream does it
 once. The window probabilities are still bit-identical to classifying
@@ -13,8 +14,8 @@ each window alone:
 - Runs. Windows a multiple of kw1 * HOP samples apart (kw1 is pool1's
   time width) have their pool1 pairs line up. So a stream's windows are
   grouped by offset modulo that, and each group is cut into runs where
-  two consecutive windows stop overlapping. A run of one window runs
-  whole.
+  two consecutive windows stop overlapping. A window that runs alone is
+  CrnnModel.forward of its log-mel spectrogram.
 - Front, in pieces. log-mel and conv1 -> pool1 -> act1 -> conv2 run over
   pieces of a run's samples, each starting on a multiple of kw1 frames.
   A piece keeps the conv2 columns that read nothing near its ends (see
@@ -40,7 +41,7 @@ This rests on a log-mel frame depending only on its own samples and a
 GEMM column of a convolution only on its own input column, which numpy's
 FFT and BLAS give and tests/test_analyze.py checks bit for bit. A model
 whose windows are too short for edge buffers (22 frames or fewer at the
-default pool widths) runs every window whole.
+default pool widths) runs every window alone.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import SAMPLE_RATE, AudioBuffer
-from .dbas import SPEECH_GENDER, segment_samples
-from .errors import ConfigError, NoSpeechError, NoWindowsError
-from .features import HOP, WINDOW, log_mel_spectrogram
+from .dbas import SPEECH_GENDER, label_names, segment_samples
+from .errors import ConfigError, NoSpeechError, NoWindowsError, ShapeError
+from .features import HOP, N_MELS, WINDOW, log_mel_spectrogram
 from .layers import softmax
-from .model import CrnnModel, label_names
+from .model import CrnnModel
 
 # Budget for the conv1 output of one piece of a run, its largest array: 682
 # frames of the default model. With it, analyze-default's peak RSS fell from
@@ -148,10 +149,10 @@ class _Phase:
     def __init__(self, start: int):
         self.start = self.next = self.stop = start  # run conv2 columns: first, next and end group
         self.pending: deque = deque()
-        # act2 grid columns from act_base on and conv3 ones from conv_base on;
-        # grid column 0's conv3 reads zero padding, and no window needs it
+        # act2 grid columns from base on and conv3 ones from base + 1 on; grid
+        # column 0's conv3 reads zero padding, and no window needs it
         self.act = self.conv = None
-        self.act_base, self.conv_base = 0, 1
+        self.base = 0
 
 
 class _Pass:
@@ -159,6 +160,9 @@ class _Pass:
 
     def __init__(self, model: CrnnModel):
         config = model.config
+        if config.input_shape[0] != N_MELS:
+            raise ShapeError(f"model input {config.input_shape} does not take {N_MELS}-band "
+                             "log-mel spectrograms")
         (_, kw1), (_, kw2) = config.pool_kernels[:2]
         conv2, conv3 = model.blocks[1][0], model.blocks[2][0]
         at2, at3 = model.layers.index(conv2), model.layers.index(conv3)
@@ -192,15 +196,11 @@ class _Pass:
         x = self.model.normalize(log_mel_spectrogram(AudioBuffer(samples, SAMPLE_RATE)).values)
         return self._forward(x[None, None], self.front)
 
-    def _probs(self, x):
-        """A window's class probabilities from its conv3 output."""
-        return softmax(self._forward(x, self.back))[0]
-
     def run(self, samples, offsets, window: int) -> list:
         """Probabilities of a run's windows, which start at ``offsets`` of ``samples``."""
         if len(offsets) == 1:
-            x = self.conv2.forward(self._front(samples[offsets[0] : offsets[0] + window]))
-            return [self._probs(self.conv3.forward(self._forward(x, self.mid)))]
+            buffer = AudioBuffer(samples[offsets[0] : offsets[0] + window], SAMPLE_RATE)
+            return [self.model.forward(log_mel_spectrogram(buffer).values)]
         kw1, kw2, m = self.kw1, self.kw2, self.m
         phases: dict[int, _Phase] = {}
         for k, offset in enumerate(offsets):
@@ -256,11 +256,10 @@ class _Pass:
             return
         if phase.act is None:
             return
-        d = phase.pending[0][1]
-        keep = max(phase.act_base, min(d, done - 2))
-        phase.act, phase.act_base = phase.act[..., keep - phase.act_base :], keep
-        keep = min(d + 1, phase.conv_base + phase.conv.shape[-1])
-        phase.conv, phase.conv_base = phase.conv[..., keep - phase.conv_base :], keep
+        keep = max(phase.base, min(phase.pending[0][1], done - 2))
+        phase.act = phase.act[..., keep - phase.base :]
+        phase.conv = phase.conv[..., keep - phase.base :]
+        phase.base = keep
 
     def _window(self, samples, phase: _Phase, d: int):
         """One window's probabilities: its edge columns around its phase's conv3 columns.
@@ -270,25 +269,22 @@ class _Pass:
         columns those read.
         """
         c, q_lo, m = self.kw2 * self.q_lo, self.q_lo, self.m
-        act, a, k = phase.act, d - phase.act_base, d - phase.conv_base
+        act, a = phase.act, d - phase.base
         x = self._front(np.concatenate([samples[: self.edge * HOP], samples[self.right * HOP :]]))
         x = self.conv2.forward(np.concatenate([x[..., : c + 1], x[..., self.first - 1 :]], axis=-1))
         x = self._forward(np.concatenate([x[..., :c], x[..., c + 2 :]], axis=-1), self.mid)
         parts = [x[..., :q_lo], act[..., a : a + 2], act[..., a + m - 2 : a + m], x[..., q_lo:]]
         x = self.conv3.forward(np.concatenate(parts, axis=-1))
-        parts = [x[..., : q_lo + 1], phase.conv[..., k + 1 : k + m - 1], x[..., q_lo + 3 :]]
-        return self._probs(np.concatenate(parts, axis=-1))
+        parts = [x[..., : q_lo + 1], phase.conv[..., a : a + m - 2], x[..., q_lo + 3 :]]
+        return softmax(self._forward(np.concatenate(parts, axis=-1), self.back))[0]
 
 
 def _window_probs(model: CrnnModel, samples: np.ndarray, window: int, shift: int) -> list:
     """Class probabilities of every window of a stream, in window order."""
     layers = _Pass(model)
     probs = [None] * window_count(len(samples), window, shift)
-    if layers.shared:
-        runs = _runs(len(probs), window, shift, layers.kw1 * HOP)
-    else:
-        runs = ([i] for i in range(len(probs)))
-    for run in runs:
+    # an overlap threshold of 0 cuts every run to one window
+    for run in _runs(len(probs), window if layers.shared else 0, shift, layers.kw1 * HOP):
         for i, p in zip(run, layers.run(samples, [i * shift for i in run], window)):
             probs[i] = p
     return probs

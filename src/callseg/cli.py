@@ -18,11 +18,14 @@ import sys
 
 from .analyze import analyze_call
 from .audio import load_audio
-from .dbas import SPLITS, CorpusManifest, prepare_corpus, read_calls_csv, read_segments_csv
+from .dbas import (
+    SPLITS, UTTERANCE_SECONDS, CorpusManifest, label_names, prepare_corpus, read_calls_csv,
+    read_segments_csv,
+)
 from .errors import CallsegError, ConfigError, OutputPathError, atomic_write, read_json_object
 from .features import load_features, log_mel_spectrogram, save_features
 from .metrics import confusion_to_csv, scores_to_json
-from .model import ModelConfig, build_crnn, label_names, load_checkpoint, save_checkpoint
+from .model import ModelConfig, build_crnn, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, synth_corpus
 from .training import TrainConfig, evaluate, split_items, train
 
@@ -276,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus root to write")
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--utterance-seconds", type=float, default=10.0)
+    p.add_argument("--utterance-seconds", type=float, default=UTTERANCE_SECONDS)
     p.set_defaults(func=_cmd_prepare)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")

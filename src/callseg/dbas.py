@@ -66,6 +66,15 @@ def gender_of(class_label: int) -> str:
     return GENDERS[class_label % 2]
 
 
+def label_names(n_classes: int) -> tuple:
+    """Class index -> name for the 2-class (role) and 4-class (gender and role) problems."""
+    if n_classes == 2:
+        return ROLES
+    if n_classes == 4:
+        return tuple(f"{gender_of(c)} {role_of(c)}" for c in range(4))
+    raise ConfigError(f"n_classes must be 2 or 4, got {n_classes}")
+
+
 # ---------------------------------------------------------------------------
 # input records
 

@@ -66,8 +66,6 @@ def _window_slices(x, kernel):
     the output by one row or column.
     """
     kh, kw = kernel
-    if kh < 1 or kw < 1:
-        raise ConfigError(f"pool kernel must be >= 1, got {kernel}")
     return [x[..., a::kh, b::kw] for a in range(kh) for b in range(kw)]
 
 
@@ -260,6 +258,8 @@ class MaxPool2d:
 
     def __init__(self, kernel: tuple[int, int]):
         self.kernel = (int(kernel[0]), int(kernel[1]))
+        if min(self.kernel) < 1:
+            raise ConfigError(f"pool kernel must be >= 1, got {kernel}")
         self._cache = None
 
     def forward(self, x, training=False, rng=None):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dbas import label_names
 from .errors import CheckpointError, ConfigError, JsonConfig, ShapeError, StateError, atomic_write
 from .layers import (
     Activation,
@@ -44,19 +45,7 @@ from .layers import (
 )
 from .recurrent import GRULayer, LSTMLayer
 
-LABELS_2 = ("customer", "agent")
-LABELS_4 = ("female customer", "male customer", "female agent", "male agent")
-
 _CKPT_MAGIC = b"CSEGCKP1"
-
-
-def label_names(n_classes: int):
-    """Class index -> name mapping for the 2- and 4-class problems."""
-    if n_classes == 2:
-        return LABELS_2
-    if n_classes == 4:
-        return LABELS_4
-    raise ConfigError(f"n_classes must be 2 or 4, got {n_classes}")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -104,14 +93,12 @@ class ModelConfig(JsonConfig):
             raise ConfigError(f"n_classes must be 2 or 4, got {self.n_classes}")
         if len(self.input_shape) != 2 or any(s < 1 for s in self.input_shape):
             raise ConfigError(f"bad input_shape {self.input_shape}")
-        channels, freq, time = self.conv_output_shape()
+        _, freq, _ = self.conv_output_shape()
         if freq != 1:
             raise ConfigError(
                 f"pool kernels {self.pool_kernels} leave frequency axis at {freq}, "
                 f"must collapse {self.input_shape[0]} bands to 1"
             )
-        if time < 1:
-            raise ConfigError("time axis collapsed to zero")
 
     def conv_output_shape(self):
         """(channels, freq, time) after the four conv/pool blocks."""

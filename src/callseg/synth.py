@@ -18,6 +18,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, AudioBuffer
 from .dbas import (
+    UTTERANCE_SECONDS,
     CorpusManifest,
     CorpusWriter,
     SegmentAnnotation,
@@ -108,7 +109,7 @@ class SynthSpec(JsonConfig):
     train_speakers_per_class: int = 6
     val_speakers_per_class: int = 2
     utterances_per_speaker: int = 20
-    utterance_seconds: float = 10.0
+    utterance_seconds: float = UTTERANCE_SECONDS
 
     def __post_init__(self):
         self._check_field_types()

@@ -5,7 +5,7 @@ validation accuracy (computed with dropout off after every epoch), keeps
 the best-epoch weights, and stops after ``patience`` epochs without
 improvement, or at once when validation accuracy reaches 1.0, which no
 later epoch could beat. Adam uses the published beta1 0.9, beta2 0.999
-and eps 1e-8 (AdamState's defaults); only its learning rate is set. Feature
+and eps 1e-8 (optim.BETA1, BETA2 and EPS); only its learning rate is set. Feature
 normalization statistics always come from the training split only and
 are stored on the model so checkpoints stay self-contained.
 Both read only a finished corpus run: a root without ``manifest.json``,

@@ -21,7 +21,7 @@ from callseg.analyze import (
 from callseg.audio import AudioBuffer
 from callseg.dbas import SEGMENT_LABELS, SegmentAnnotation
 from callseg.errors import (CallsegError, InputError, NoSpeechError, NoWindowsError,
-                            SampleRateError)
+                            SampleRateError, ShapeError)
 from callseg.features import HOP, log_mel_spectrogram
 
 RATE = 8000
@@ -202,6 +202,20 @@ class TestAnalyzeCall:
         with pytest.raises(SampleRateError):
             analyze_call(AudioBuffer(noise(30 * 16000), 16000), segments, model)
 
+    def test_model_not_taking_96_bands_rejected_before_any_log_mel(self, monkeypatch):
+        # built for 12-band input, which model.forward of a 96-band spectrogram rejects
+        config = callseg.ModelConfig(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3),
+                                     input_shape=(12, 50))
+        model = callseg.build_crnn(config, seed=0)
+
+        def no_logmel(buffer):
+            raise AssertionError("log-mel computed for a model that cannot take it")
+
+        monkeypatch.setattr(analyze, "log_mel_spectrogram", no_logmel)
+        audio = AudioBuffer(noise(3 * RATE), RATE)
+        with pytest.raises(ShapeError, match="96-band"):
+            analyze_call(audio, [seg(0, 3, "speech_female")], model)
+
     def test_report_json_fields(self, fast_model):
         rng = np.random.default_rng(4)
         audio = AudioBuffer(0.1 * rng.standard_normal(2 * RATE), RATE)
@@ -321,6 +335,23 @@ class TestSharedFrontGolden:
 
     def test_exactly_one_window(self, golden_model):
         assert assert_matches_oracle(golden_model, noise(window_of(golden_model)), 0.33) == 1
+
+    def test_lone_windows_run_through_model_forward(self, monkeypatch, fast_model):
+        # 0.25 s windows 1 s apart share no columns, so each runs alone
+        outputs = []
+        real_forward = callseg.CrnnModel.forward
+
+        def forward_spy(self, *args, **kwargs):
+            outputs.append(real_forward(self, *args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(callseg.CrnnModel, "forward", forward_spy)
+        audio = AudioBuffer(noise(5 * RATE), RATE)
+        analysis = analyze_call(audio, [seg(0, 5, "speech_female")], fast_model, 1.0)
+        got = analysis.speakers[0].window_probs
+        assert len(got) == 5
+        assert len(outputs) == len(got)
+        assert all(g is out for g, out in zip(got, outputs))
 
     @pytest.mark.parametrize("shift", [0.5, 0.33])
     def test_last_window_ends_at_stream_end(self, golden_model, shift):

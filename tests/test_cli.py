@@ -10,7 +10,7 @@ import pytest
 from callseg.audio import AudioBuffer, save_wav
 from callseg.cli import main
 from callseg.features import load_features
-from callseg.model import load_checkpoint
+from callseg.model import ModelConfig, build_crnn, load_checkpoint, save_checkpoint
 from callseg.synth import SynthSpec, speaker_voice, synth_speech
 from callseg.training import TrainHistory
 from tests.conftest import rewrite_checkpoint_header, tree_digest, write_half_run, write_tone_wav
@@ -454,6 +454,18 @@ class TestAnalyzeCommand:
                                "--model", str(ckpt))
         assert code == 2
         assert "noconfig.ckpt" in err
+
+    def test_model_not_taking_96_bands_exits_2(self, capsys, tmp_path):
+        config = ModelConfig(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3), input_shape=(12, 50))
+        ckpt = str(tmp_path / "narrow.ckpt")
+        save_checkpoint(build_crnn(config, seed=0), ckpt)
+        wav, segments = self.make_call_files(tmp_path)
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "analyze", "--wav", wav, "--segments", segments,
+                               "--model", ckpt, "--out", str(out))
+        assert code == 2
+        assert "96-band" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("shift", ["0", "0.00001", "nan", "-1"])
     def test_bad_shift_exits_2(self, capsys, tmp_path, cli_corpus, shift):

@@ -166,6 +166,11 @@ class TestMaxPool:
         out = MaxPool2d(kernel).forward(x)
         npt.assert_array_equal(out, reference_maxpool(x, kernel))
 
+    @pytest.mark.parametrize("kernel", [(0, 2), (2, 0), (-1, 1)])
+    def test_bad_kernel_rejected_at_construction(self, kernel):
+        with pytest.raises(ConfigError):
+            MaxPool2d(kernel)
+
     def test_tie_breaks_to_first_row_major(self):
         pool = MaxPool2d((3, 3))
         pool.forward(np.ones((1, 3, 3)), training=True)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import callseg
 from callseg.errors import CheckpointError, ConfigError, ShapeError
-from callseg.model import LABELS_4, ModelConfig, build_crnn, load_checkpoint, save_checkpoint
+from callseg.model import ModelConfig, build_crnn, load_checkpoint, save_checkpoint
 from tests.conftest import rewrite_checkpoint_header
 
 TINY = dict(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3), input_shape=(12, 20))
@@ -199,7 +199,8 @@ class TestCheckpoint:
         raw = pathlib.Path(path).read_bytes()
         header_len = int.from_bytes(raw[8:12], "little")
         header = json.loads(raw[12 : 12 + header_len])
-        assert header["label_convention"] == {str(i): n for i, n in enumerate(LABELS_4)}
+        assert header["label_convention"] == {"0": "female customer", "1": "male customer",
+                                              "2": "female agent", "3": "male agent"}
 
     def test_header_storing_the_elu_activation_loads(self, tmp_path):
         """A header config may hold "conv_activation": "elu", as when ELU was a setting."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -35,10 +37,15 @@ def test_two_steps_match_hand_rolled_trace():
         theta_ref -= alpha * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
     theta = np.array([0.2])
-    state = AdamState.for_params([theta], alpha=alpha, beta1=b1, beta2=b2, eps=eps)
+    state = AdamState.for_params([theta], alpha=alpha)
     for _ in range(2):
         adam_step([theta], [np.array([g])], state)
     npt.assert_allclose(theta, [theta_ref], rtol=1e-12)
+
+
+def test_state_holds_only_the_learning_rate_moments_and_step():
+    # beta1, beta2 and eps are optim's constants, not per-state settings
+    assert [f.name for f in dataclasses.fields(AdamState)] == ["alpha", "m", "v", "step"]
 
 
 def test_second_moment_stays_nonnegative_and_step_counts():
