@@ -72,6 +72,15 @@ class TestFeaturesCommand:
         assert code == 2
         assert "channel" in err.lower()
 
+    def test_truncated_file_exits_2(self, capsys, tmp_path, tone_wav):
+        path = tmp_path / "cut.wav"
+        path.write_bytes(Path(tone_wav).read_bytes()[:-3])
+        out = tmp_path / "o.npy"
+        code, _, err = run_cli(capsys, "features", "--in", str(path), "--out", str(out))
+        assert code == 2
+        assert "cut.wav" in err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.wav")
         code, _, err = run_cli(capsys, "features", "--in", missing, "--out", str(tmp_path / "o.npy"))
