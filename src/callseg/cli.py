@@ -3,7 +3,10 @@
 One binary, six subcommands: features, prepare, synth, train, evaluate,
 analyze. Exit codes: 0 success, 1 internal failure, 2 invalid input or
 configuration. Every command echoes its effective configuration as a JSON
-line so a run can be reproduced exactly. Printed lines are best-effort: a
+line so a run can be reproduced exactly. ``train`` takes every model and
+training value from its ``--config`` file alone; the echo's ``model`` and
+``train`` objects are such a file, and the input shape, when the file
+leaves it out, is read from the corpus. Printed lines are best-effort: a
 closed stdout or stderr silences them but does not change the work or the
 exit code.
 """
@@ -157,48 +160,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str, expected: int, flag: str):
-    try:
-        parts = [int(p) for p in text.split(",")]
-    except ValueError:
-        parts = []
-    if len(parts) != expected:
-        raise ConfigError(f"{flag} needs {expected} comma-separated integers, got {text!r}")
-    return parts
-
-
 def _resolve_train_config(args):
     sections = {"model": {}, "train": {}}
     for key, value in (read_json_object(args.config) if args.config else {}).items():
         if key not in sections or not isinstance(value, dict):
             raise ConfigError(f"{args.config}: {key!r} is not a 'model' or 'train' object")
-        sections[key] = dict(value)
-    model_cfg, train_cfg = sections["model"], sections["train"]
-
-    if args.classes is not None:
-        model_cfg["n_classes"] = args.classes
-    if args.rnn is not None:
-        model_cfg["rnn_kind"] = args.rnn
-    if args.filters is not None:
-        model_cfg["conv_filters"] = _parse_int_list(args.filters, 4, "--filters")
-    if args.hidden is not None:
-        model_cfg["rnn_hidden"] = _parse_int_list(args.hidden, 2, "--hidden")
-    if args.dropout is not None:
-        model_cfg["dropout_p"] = args.dropout
-
-    for flag, key in (
-        ("learning_rate", "learning_rate"), ("batch_size", "batch_size"),
-        ("epochs", "max_epochs"), ("patience", "patience"), ("seed", "seed"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            train_cfg[key] = value
-
+        sections[key] = value
+    model_cfg = sections["model"]
     if "input_shape" not in model_cfg:
         items = split_items(args.corpus, "train")
         model_cfg["input_shape"] = list(load_features(items[0].path).shape)
-
-    return ModelConfig.from_dict(model_cfg), TrainConfig.from_dict(train_cfg)
+    return ModelConfig.from_dict(model_cfg), TrainConfig.from_dict(sections["train"])
 
 
 def _cmd_train(args) -> int:
@@ -292,16 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--config", help="JSON config file with model/train sections")
-    p.add_argument("--classes", type=int, choices=(2, 4))
-    p.add_argument("--rnn", choices=("gru", "lstm"))
-    p.add_argument("--filters", help="four conv filter counts, comma separated")
-    p.add_argument("--hidden", help="two recurrent hidden sizes, comma separated")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--history", help="history CSV path (default: <out>.history.csv)")
     p.set_defaults(func=_cmd_train)
 

@@ -110,11 +110,18 @@ def save_features(path: str, values: np.ndarray) -> None:
 
 
 def load_features(path: str) -> np.ndarray:
-    """Read a feature NPY file back as a 2-D float32 array."""
+    """Read a feature NPY file back as a 2-D float32 array.
+
+    Only a plain NPY file of real numbers is read: an ``.npz`` archive,
+    pickled objects or a complex array raises FormatError.
+    """
     try:
-        arr = np.load(path)
-    except Exception as exc:
+        with open(path, "rb") as fh:
+            arr = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError) as exc:
         raise FormatError(f"unreadable feature file {path}: {exc}") from exc
+    if arr.dtype.kind not in "fiu":
+        raise FormatError(f"{path}: feature values must be real numbers, got dtype {arr.dtype}")
     if arr.ndim != 2:
         raise ShapeError(f"{path}: expected a 2-D feature array, got shape {arr.shape}")
     return np.ascontiguousarray(arr, dtype=np.float32)

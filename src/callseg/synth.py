@@ -36,6 +36,8 @@ _F0_SAMPLING = {"male": (92.0, 165.0), "female": (178.0, 247.0)}
 _F0_JITTER = 0.03
 _TILT = {"male": (1.1, 1.5), "female": (0.55, 0.95)}
 _AM_RATE = {"agent": (6.0, 9.0), "customer": (0.6, 1.6)}
+_N_HARMONICS = 10
+_NOISE_LEVEL = 0.008
 
 _SPLIT_CODE = {"train": 0, "validation": 1}
 
@@ -47,8 +49,6 @@ class SpeakerVoice:
     tilt: float
     am_rate: float
     am_wobble: float  # phase-wobble depth; 0 for the regular agent rhythm
-    n_harmonics: int = 10
-    noise_level: float = 0.008
 
 
 def speaker_voice(class_label: int, rng: np.random.Generator) -> SpeakerVoice:
@@ -80,7 +80,7 @@ def synth_speech(voice: SpeakerVoice, seconds: float, rng: np.random.Generator,
 
     signal = np.zeros(n)
     amp_total = 0.0
-    for k in range(1, voice.n_harmonics + 1):
+    for k in range(1, _N_HARMONICS + 1):
         if k * f0 >= 0.95 * sample_rate / 2:
             break
         amp = k ** -tilt
@@ -98,7 +98,7 @@ def synth_speech(voice: SpeakerVoice, seconds: float, rng: np.random.Generator,
         pulse = 0.5 + 0.5 * np.sin(phase)
         envelope = 0.05 + 0.95 * pulse * pulse
 
-    out = 0.9 * envelope * signal + voice.noise_level * rng.standard_normal(n)
+    out = 0.9 * envelope * signal + _NOISE_LEVEL * rng.standard_normal(n)
     return np.clip(out, -1.0, 1.0)
 
 

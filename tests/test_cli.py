@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -12,7 +15,7 @@ from callseg.cli import main
 from callseg.features import load_features
 from callseg.model import ModelConfig, build_crnn, load_checkpoint, save_checkpoint
 from callseg.synth import SynthSpec, speaker_voice, synth_speech
-from callseg.training import TrainHistory
+from callseg.training import TrainHistory, split_items
 from tests.conftest import rewrite_checkpoint_header, tree_digest, write_half_run, write_tone_wav
 
 
@@ -34,6 +37,13 @@ def write_spec(path, **overrides):
     return str(path)
 
 
+def write_config(path, model=None, **train):
+    """A ``train --config`` file: a tiny model with ``model``'s overrides, and ``train``."""
+    model = {"conv_filters": [2, 2, 2, 2], "rnn_hidden": [3, 3], **(model or {})}
+    path.write_text(json.dumps({"model": model, "train": train}))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def cli_corpus(tmp_path_factory):
     """Small corpus + checkpoint shared by the train/evaluate/analyze tests."""
@@ -45,11 +55,9 @@ def cli_corpus(tmp_path_factory):
 
     synth_corpus(spec, seed=31, out_root=corpus)
     ckpt = str(base / "model.ckpt")
-    code = main([
-        "train", "--corpus", corpus, "--out", ckpt,
-        "--filters", "2,2,2,2", "--hidden", "3,3", "--classes", "4",
-        "--epochs", "2", "--patience", "5", "--seed", "4",
-    ])
+    config = write_config(base / "config.json", {"n_classes": 4},
+                          max_epochs=2, patience=5, seed=4)
+    code = main(["train", "--corpus", corpus, "--out", ckpt, "--config", config])
     assert code == 0
     return {"corpus": corpus, "ckpt": ckpt}
 
@@ -142,7 +150,7 @@ class TestSynthCommand:
         for spec in (first, second):
             assert run_cli(capsys, "synth", "--spec", spec, "--seed", "7", "--out", out)[0] == 0
         code, _, err = run_cli(capsys, "train", "--corpus", out, "--out", str(tmp_path / "m.ckpt"),
-                               "--filters", "2,2,2,2", "--hidden", "3,3", "--epochs", "1")
+                               "--config", write_config(tmp_path / "config.json", max_epochs=1))
         assert code == 0, err
 
     def test_root_holding_a_non_corpus_file_exits_2(self, capsys, tmp_path):
@@ -195,9 +203,9 @@ class TestTrainCommand:
     def test_lstm_flag_recorded(self, capsys, tmp_path, cli_corpus):
         ckpt = str(tmp_path / "lstm.ckpt")
         code, _, _ = run_cli(
-            capsys, "train", "--corpus", cli_corpus["corpus"], "--out", ckpt,
-            "--filters", "2,2,2,2", "--hidden", "3,3", "--classes", "2",
-            "--rnn", "lstm", "--epochs", "1", "--seed", "1",
+            capsys, "train", "--corpus", cli_corpus["corpus"], "--out", ckpt, "--config",
+            write_config(tmp_path / "config.json", {"n_classes": 2, "rnn_kind": "lstm"},
+                         max_epochs=1, seed=1),
         )
         assert code == 0
         model = load_checkpoint(ckpt)
@@ -207,7 +215,7 @@ class TestTrainCommand:
     def test_echo_records_blas_threads(self, capsys, tmp_path, cli_corpus):
         code, stdout, _ = run_cli(
             capsys, "train", "--corpus", cli_corpus["corpus"], "--out", str(tmp_path / "m.ckpt"),
-            "--filters", "2,2,2,2", "--hidden", "3,3", "--epochs", "1",
+            "--config", write_config(tmp_path / "config.json", max_epochs=1),
         )
         assert code == 0
         threads = json.loads(stdout.splitlines()[0])["effective_config"]["blas_threads"]
@@ -217,11 +225,25 @@ class TestTrainCommand:
         ckpt = str(tmp_path / "m.ckpt")
         code, stdout, _ = run_cli(
             capsys, "train", "--corpus", cli_corpus["corpus"], "--out", ckpt,
-            "--filters", "2,2,2,2", "--hidden", "3,3", "--epochs", "1",
+            "--config", write_config(tmp_path / "config.json", max_epochs=1),
         )
         assert code == 0
         assert json.loads(stdout.splitlines()[0])["effective_config"]["history"] == (
             ckpt + ".history.csv")
+
+    def test_echo_is_a_config_file_that_reproduces_the_run(self, capsys, tmp_path, cli_corpus):
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        config = write_config(tmp_path / "config.json", {"rnn_kind": "lstm"}, max_epochs=1, seed=2)
+        code, stdout, _ = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"],
+                                  "--out", str(first), "--config", config)
+        assert code == 0
+        echo = json.loads(stdout.splitlines()[0])["effective_config"]
+        echoed = tmp_path / "echo.json"
+        echoed.write_text(json.dumps({"model": echo["model"], "train": echo["train"]}))
+        code, _, _ = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"],
+                             "--out", str(second), "--config", str(echoed))
+        assert code == 0
+        assert second.read_bytes() == first.read_bytes()
 
     def test_empty_corpus_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--corpus", str(tmp_path / "void"),
@@ -232,29 +254,24 @@ class TestTrainCommand:
     def test_no_normalize_flag_exits_2(self, capsys, tmp_path, cli_corpus):
         ckpt = tmp_path / "m.ckpt"
         with pytest.raises(SystemExit) as exc:  # train always normalizes
-            main(["train", "--corpus", cli_corpus["corpus"], "--out", str(ckpt),
-                  "--filters", "2,2,2,2", "--hidden", "3,3", "--epochs", "1", "--no-normalize"])
+            main(["train", "--corpus", cli_corpus["corpus"], "--out", str(ckpt), "--config",
+                  write_config(tmp_path / "config.json", max_epochs=1), "--no-normalize"])
         assert exc.value.code == 2
         assert "--no-normalize" in capsys.readouterr().err
         assert not ckpt.exists()
 
-    def test_config_file_with_flag_override(self, capsys, tmp_path, cli_corpus):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "model": {"conv_filters": [2, 2, 2, 2], "rnn_hidden": [3, 3], "n_classes": 2},
-            "train": {"max_epochs": 1, "seed": 3},
-        }))
-        ckpt = str(tmp_path / "m.ckpt")
-        code, stdout, _ = run_cli(
-            capsys, "train", "--corpus", cli_corpus["corpus"], "--out", ckpt,
-            "--config", str(config), "--classes", "4",
-        )
-        assert code == 0
-        echo = json.loads(stdout.splitlines()[0])
-        assert echo["effective_config"]["model"]["n_classes"] == 4  # flag beats file
-        assert echo["effective_config"]["train"]["max_epochs"] == 1
-        assert load_checkpoint(ckpt).config.n_classes == 4
-
+    @pytest.mark.parametrize("flag, value", [
+        ("--classes", "4"), ("--rnn", "lstm"), ("--filters", "2,2,2,2"), ("--hidden", "3,3"),
+        ("--dropout", "0.1"), ("--learning-rate", "0.001"), ("--batch-size", "4"),
+        ("--epochs", "1"), ("--patience", "5"), ("--seed", "1"),
+    ])
+    def test_removed_flag_exits_2(self, capsys, tmp_path, cli_corpus, flag, value):
+        ckpt = tmp_path / "m.ckpt"
+        with pytest.raises(SystemExit) as exc:  # --config sets every model and training value
+            main(["train", "--corpus", cli_corpus["corpus"], "--out", str(ckpt), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("content,needle", [
         (None, "cannot read"),
@@ -267,7 +284,12 @@ class TestTrainCommand:
         ('{"train": {"batch_size": "x"}}', "batch_size"),
         ('{"train": {"seed": -1}}', "seed"),
         ('{"model": {"conv_filters": "ab"}}', "conv_filters"),
+        ('{"model": {"conv_filters": ["a", "b", "c", "d"]}}', "conv_filters"),
+        ('{"model": {"conv_filters": [2, 2, 2]}}', "four positive conv filter counts"),
+        ('{"model": {"rnn_hidden": [4, "x"]}}', "rnn_hidden"),
         ('{"train": {"learning_rate": -1}}', "learning_rate"),
+        ('{"train": {"learning_rate": 0}}', "learning_rate"),
+        ('{"train": {"learning_rate": NaN}}', "learning_rate"),
         ('{"train": {"learning_rate": Infinity}}', "learning_rate"),
         ('{"train": {"eps": 0}}', "eps"),
         ('{"train": {"eps": -1e-8}}', "eps"),
@@ -287,31 +309,36 @@ class TestTrainCommand:
         assert needle in err
         assert not (tmp_path / "m.ckpt").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--filters", "a,b,c,d"), ("--hidden", "4,x"),
-                                            ("--filters", "2,2,2")])
-    def test_bad_integer_list_exits_2(self, capsys, tmp_path, cli_corpus, flag, value):
-        code, _, err = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"],
-                               "--out", str(tmp_path / "m.ckpt"), flag, value)
+    @pytest.mark.parametrize("content, needle", [
+        ("npz", "unreadable feature file"),
+        ("bytes", "unreadable feature file"),
+        ("complex", "complex64"),
+    ])
+    def test_bad_feature_file_exits_2(self, capsys, tmp_path, cli_corpus, content, needle):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus["corpus"], corpus)
+        path = split_items(str(corpus), "train")[0].path
+        if content == "npz":
+            with open(path, "wb") as fh:
+                np.savez(fh, values=np.zeros((96, 50), np.float32))
+        elif content == "bytes":
+            Path(path).write_bytes(b"not an NPY file\n" * 8)
+        else:
+            np.save(path, np.zeros((96, 50), np.complex64))
+        code, _, err = run_cli(capsys, "train", "--corpus", str(corpus),
+                               "--out", str(tmp_path / "m.ckpt"))
         assert code == 2
-        assert f"{flag} needs" in err
-
-    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
-    def test_bad_learning_rate_flag_exits_2(self, capsys, tmp_path, cli_corpus, value):
-        ckpt = tmp_path / "m.ckpt"
-        code, _, err = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"], "--out", str(ckpt),
-                               "--filters", "2,2,2,2", "--hidden", "3,3", "--epochs", "1",
-                               "--learning-rate", value)
-        assert code == 2
-        assert "learning_rate" in err
-        assert not ckpt.exists()
+        assert path in err and needle in err
+        assert "pickled" not in err  # numpy's guess for bytes that are not NPY
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_root_without_manifest_exits_2(self, capsys, tmp_path):
         write_half_run(tmp_path / "corpus")
         out = tmp_path / "out"
         out.mkdir()
         code, _, err = run_cli(capsys, "train", "--corpus", str(tmp_path / "corpus"),
-                               "--out", str(out / "m.ckpt"), "--filters", "2,2,2,2",
-                               "--hidden", "3,3", "--epochs", "2")
+                               "--out", str(out / "m.ckpt"),
+                               "--config", write_config(tmp_path / "config.json", max_epochs=2))
         assert code == 2
         assert "manifest.json" in err
         assert os.listdir(out) == []
@@ -499,6 +526,9 @@ class TestOutputPathsCheckedFirst:
     """An output path that cannot be created exits 2 before the checkpoint is loaded."""
 
     def target(self, tmp_path, where):
+        if where == "directory":
+            (tmp_path / "adir").mkdir()
+            return str(tmp_path / "adir")
         if where == "missing directory":
             return str(tmp_path / "nodir" / "out.txt")
         if where == "same as --out":  # spelled differently from the --out path
@@ -514,6 +544,10 @@ class TestOutputPathsCheckedFirst:
         ("evaluate", "--confusion-csv", "missing directory"),
         ("analyze", "--windows-csv", "same as --out"),
         ("evaluate", "--confusion-csv", "same as --out"),
+        ("analyze", "--out", "directory"),
+        ("analyze", "--windows-csv", "directory"),
+        ("evaluate", "--out", "directory"),
+        ("evaluate", "--confusion-csv", "directory"),
     ])
     def test_unwritable_output_exits_2(self, capsys, monkeypatch, tmp_path, cli_corpus,
                                        command, flag, where):
@@ -540,6 +574,8 @@ class TestOutputPathsCheckedFirst:
         ("--out", "missing directory"),
         ("--history", "regular file"),
         ("--history", "same as --out"),
+        ("--out", "directory"),
+        ("--history", "directory"),
     ])
     def test_train_output_checked_before_training(self, capsys, monkeypatch, tmp_path,
                                                   cli_corpus, flag, where):
@@ -562,6 +598,13 @@ class TestOutputPathsCheckedFirst:
         code, _, err = run_cli(capsys, "features", "--in", tone_wav, "--out", target)
         assert code == 2
         assert f"cannot write {target}" in err
+
+    def test_features_out_naming_a_directory_exits_2(self, capsys, tmp_path, tone_wav):
+        target = self.target(tmp_path, "directory")
+        code, _, err = run_cli(capsys, "features", "--in", tone_wav, "--out", target)
+        assert code == 2
+        assert f"cannot write {target}: it is a directory" in err
+        assert os.listdir(target) == []
 
     @pytest.mark.parametrize("command, flag, source", [
         ("features", "--out", "--in"),
@@ -674,8 +717,8 @@ class TestFailedWritesKeepOldFiles:
         out = tmp_path / "out"
         out.mkdir()
         code, _, err = run_cli(capsys, "train", "--corpus", cli_corpus["corpus"],
-                               "--out", str(out / "m.ckpt"), "--filters", "2,2,2,2",
-                               "--hidden", "3,3")
+                               "--out", str(out / "m.ckpt"),
+                               "--config", write_config(tmp_path / "config.json"))
         assert code != 0 and "disk full" in err
         assert os.listdir(out) == []  # no checkpoint without its history
 
@@ -735,6 +778,7 @@ class TestPrepareCommand:
             "call_id,agent_id,agent_gender,duration,audio_path\n"
             "good,agentX,female,120,good.wav\n"
             "short,agentY,female,30,short.wav\n"
+            "unsegmented,agentW,female,120,good.wav\n"  # no unsegmented.csv
         )
         out = str(tmp_path / "corpus")
         code, stdout, _ = run_cli(
@@ -744,10 +788,32 @@ class TestPrepareCommand:
         )
         assert code == 0
         assert "rejected short: duration" in stdout
+        assert "rejected unsegmented: no_segments" in stdout
         assert os.path.isfile(os.path.join(out, "train", "agent", "female", "agentX", "0.npy"))
         assert os.path.isfile(os.path.join(out, "train", "customer", "male", "good.customer", "2.npy"))
         manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["splits"]["train"]["utterances"] == 6  # 3 per speaker
+
+    def test_speaker_with_two_genders_is_dropped(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        female = synth_speech(speaker_voice(2, rng), 2.0, rng)
+        male = synth_speech(speaker_voice(1, rng), 2.0, rng)
+        save_wav(str(tmp_path / "call.wav"), AudioBuffer(np.concatenate([female, male]), 8000))
+        for call_id in ("a", "b"):
+            (tmp_path / f"{call_id}.csv").write_text(
+                "start,end,label\n0,2,speech_female\n2,4,speech_male\n")
+        calls = tmp_path / "calls.csv"
+        calls.write_text("call_id,agent_id,agent_gender,duration,audio_path\n"
+                         "a,agentZ,female,120,call.wav\n"
+                         "b,agentZ,male,120,call.wav\n")
+        out = tmp_path / "corpus"
+        code, stdout, _ = run_cli(capsys, "prepare", "--segments", str(tmp_path), "--calls",
+                                  str(calls), "--audio", str(tmp_path), "--out", str(out),
+                                  "--val-fraction", "0", "--utterance-seconds", "2")
+        assert code == 0
+        assert "dropped speaker agentZ: inconsistent gender labels" in stdout
+        speakers = json.loads((out / "manifest.json").read_text())["speaker_splits"]
+        assert speakers == {"a.customer": "train", "b.customer": "train"}
 
     def test_non_numeric_duration_exits_2(self, capsys, tmp_path):
         calls = tmp_path / "calls.csv"
@@ -892,5 +958,25 @@ def test_settable_value_count():
         for sub in commands.choices.values()
     )
     config_fields = sum(len(fields(cls)) for cls in (ModelConfig, TrainConfig, SynthSpec))
-    assert (options, config_fields) == (38, 16)
-    assert options + config_fields == 54
+    assert (options, config_fields) == (28, 16)
+    assert options + config_fields == 44
+
+
+def test_readme_commands_parse():
+    """Every ``callseg`` command in the README's bash blocks parses.
+
+    So a removed flag cannot stay documented.
+    """
+    from callseg.cli import _build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("callseg ")]
+    parsed = set()
+    for line in lines:
+        try:
+            parsed.add(_build_parser().parse_args(shlex.split(line, comments=True)[1:]).command)
+        except SystemExit:
+            pytest.fail(f"the README's command does not parse: {line}")
+    assert parsed == {"features", "prepare", "synth", "train", "evaluate", "analyze"}
