@@ -8,11 +8,12 @@ features, and compares GRU vs LSTM parameter counts for the 2- and
 import numpy as np
 
 from callseg import ModelConfig, build_crnn
+from callseg.model import POOL_KERNELS
 
-config = ModelConfig()  # filters (64,64,64,32), pools (2,2),(3,3),(4,2),(4,2), hidden (84,84)
+config = ModelConfig()  # filters (64,64,64,32), hidden (84,84)
 freq, time_ = config.input_shape
 print(f"input: ({freq}, {time_})")
-for i, (kh, kw) in enumerate(config.pool_kernels, start=1):
+for i, (kh, kw) in enumerate(POOL_KERNELS, start=1):
     freq, time_ = -(-freq // kh), -(-time_ // kw)
     print(f"after block {i} (pool {kh}x{kw}): ({config.conv_filters[i - 1]}, {freq}, {time_})")
 print(f"recurrent layers see {time_} steps of {config.conv_filters[-1]} features\n")

@@ -24,7 +24,7 @@ for s in segments:
     print(f"  {s.start:6.1f} - {s.end:6.1f}  {s.label}")
 
 analysis = analyze_call(audio, segments, model)
-print(f"\nwindow {analysis.window_seconds:.2f}s, shift {analysis.shift_seconds:.1f}s")
+print(f"\nwindow {analysis.window_seconds:.2f}s, shift 1 s")
 for rep in analysis.speakers:
     if rep.no_windows:
         print(f"speaker {rep.slot} ({rep.gender}): stream too short to classify")

@@ -11,18 +11,19 @@ Overlapping windows share most of their work, and each stream does it
 once. The window probabilities are still bit-identical to classifying
 each window alone:
 
-- Runs. Windows a multiple of kw1 * HOP samples apart (kw1 is pool1's
-  time width) have their pool1 pairs line up. So a stream's windows are
-  grouped by offset modulo that, and each group is cut into runs where
-  two consecutive windows stop overlapping. A window that runs alone is
-  CrnnModel.forward of its log-mel spectrogram.
+- Runs. The 1 s shift is 50 pool1 pairs of frames (KW1 * HOP samples,
+  KW1 being pool1's time width), so the pool1 pairs of all a stream's
+  windows line up. Windows longer than the shift (over 100 frames)
+  overlap their neighbours, and all of a stream's windows form one run.
+  A window of 100 frames or fewer, or a stream's only window, runs alone,
+  as CrnnModel.forward of its log-mel spectrogram.
 - Front, in pieces. log-mel and conv1 -> pool1 -> act1 -> conv2 run over
-  pieces of a run's samples, each starting on a multiple of kw1 frames.
+  pieces of a run's samples, each starting on a multiple of KW1 frames.
   A piece keeps the conv2 columns that read nothing near its ends (see
   ``_interior``), so consecutive pieces overlap only by that halo. A
   piece's conv1 output, its largest array, stays under CHUNK_BYTES.
 - Phases. A window's pool2 groups start at its own conv2 offset, so the
-  windows whose offsets agree modulo pool2's time width kw2 share one
+  windows whose offsets agree modulo pool2's time width KW2 share one
   pool2 grid, a phase. pool2 -> act2 -> drop2 -> conv3 run once per
   phase over each piece's conv2 columns, with a 2-column act2 halo for
   conv3 across pieces. A phase keeps only the act2 and conv3 columns that
@@ -39,15 +40,12 @@ each window alone:
 
 This rests on a log-mel frame depending only on its own samples and a
 GEMM column of a convolution only on its own input column, which numpy's
-FFT and BLAS give and tests/test_analyze.py checks bit for bit. A model
-whose windows are too short for edge buffers (22 frames or fewer at the
-default pool widths) runs every window alone.
+FFT and BLAS give and tests/test_analyze.py checks bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -55,10 +53,10 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, AudioBuffer
 from .dbas import SPEECH_GENDER, label_names, segment_samples
-from .errors import ConfigError, NoSpeechError, NoWindowsError, ShapeError
+from .errors import NoSpeechError, NoWindowsError, ShapeError
 from .features import HOP, N_MELS, WINDOW, log_mel_spectrogram
 from .layers import softmax
-from .model import CrnnModel
+from .model import POOL_KERNELS, CrnnModel
 
 # Budget for the conv1 output of one piece of a run, its largest array: 682
 # frames of the default model. With it, analyze-default's peak RSS fell from
@@ -66,6 +64,9 @@ from .model import CrnnModel
 CHUNK_BYTES = 16 << 20
 # log-mel frames at each end of a buffer that read its reflect padding
 _REFLECT_FRAMES = -(-(WINDOW // 2) // HOP)
+# the window shift in samples, 1 s
+SHIFT = SAMPLE_RATE
+(_, KW1), (_, KW2) = POOL_KERNELS[:2]  # pool1's and pool2's time widths
 
 
 @dataclass
@@ -106,42 +107,26 @@ def window_count(n_samples: int, window: int, shift: int) -> int:
     return 1 + (n_samples - window) // shift
 
 
-def _interior(frames: int, kw: int):
+def _interior(frames: int):
     """(lo, hi): a buffer's conv2 columns lo <= j < hi are those of any longer buffer around it.
 
-    conv2 column j reads log-mel frames kw*(j-1)-1 .. kw*(j+2) through pool1
-    and conv1 (kw is pool1's time width). For lo <= j < hi all of them lie
-    at least _REFLECT_FRAMES inside the buffer's ``frames`` frames, so the
-    column is the same in a longer buffer that starts a multiple of kw
-    frames earlier.
+    conv2 column j reads log-mel frames KW1*(j-1)-1 .. KW1*(j+2) through
+    pool1 and conv1. For lo <= j < hi all of them lie at least
+    _REFLECT_FRAMES inside the buffer's ``frames`` frames, so the column is
+    the same in a longer buffer that starts a multiple of KW1 frames earlier.
     """
-    return -(-(_REFLECT_FRAMES + 1) // kw) + 1, (frames - 1 - _REFLECT_FRAMES) // kw - 1
+    return -(-(_REFLECT_FRAMES + 1) // KW1) + 1, (frames - 1 - _REFLECT_FRAMES) // KW1 - 1
 
 
-def _frames_through(cols: int, kw: int) -> int:
+def _frames_through(cols: int) -> int:
     """Frames of a buffer whose conv2 columns below ``cols`` do not reach its right end."""
-    return kw * (cols + 1) + 1 + _REFLECT_FRAMES
-
-
-def _runs(n_windows: int, window: int, shift: int, period: int):
-    """Window indices cut into runs: ``period`` samples apart, each overlapping the one before."""
-    groups: dict[int, list[int]] = {}
-    for i in range(n_windows):
-        groups.setdefault(i * shift % period, []).append(i)
-    for members in groups.values():
-        run = members[:1]
-        for i in members[1:]:
-            if (i - run[-1]) * shift >= window:
-                yield run
-                run = []
-            run.append(i)
-        yield run
+    return KW1 * (cols + 1) + 1 + _REFLECT_FRAMES
 
 
 class _Phase:
     """One pool2 grid of a run: the act2 and conv3 columns its windows share.
 
-    Grid column t pools the run's conv2 columns from ``start + kw2*t``. A
+    Grid column t pools the run's conv2 columns from ``start + KW2*t``. A
     window of the phase waits in ``pending`` as (index, d) until its act2
     columns q_lo..q_hi, grid columns d..d+m, are computed.
     """
@@ -163,27 +148,25 @@ class _Pass:
         if config.input_shape[0] != N_MELS:
             raise ShapeError(f"model input {config.input_shape} does not take {N_MELS}-band "
                              "log-mel spectrograms")
-        (_, kw1), (_, kw2) = config.pool_kernels[:2]
         conv2, conv3 = model.blocks[1][0], model.blocks[2][0]
         at2, at3 = model.layers.index(conv2), model.layers.index(conv3)
-        self.model, self.conv2, self.conv3, self.kw1, self.kw2 = model, conv2, conv3, kw1, kw2
+        self.model, self.conv2, self.conv3 = model, conv2, conv3
         self.front, self.mid, self.back = (model.layers[:at2], model.layers[at2 + 1 : at3],
                                            model.layers[at3 + 1 :])
-        lo, hi = _interior(config.input_shape[1], kw1)
+        lo, hi = _interior(config.input_shape[1])
         # a window's m act2 columns from q_lo to q_hi are its phase's; the rest
         # come from its edge buffer, its first `edge` frames and then its frames
         # from `right` on, a part that starts on a whole pool2 group. Its conv2
-        # columns below kw2*q_lo read frames up to kw1*(kw2*q_lo + 1), whose
+        # columns below KW2*q_lo read frames up to KW1*(KW2*q_lo + 1), whose
         # samples all lie in the first part; both parts start on a pool1 pair.
-        self.lo, self.q_lo, q_hi = lo, -(-lo // kw2), hi // kw2
+        self.lo, self.q_lo, q_hi = lo, -(-lo // KW2), hi // KW2
         self.m = q_hi - self.q_lo
-        self.edge = kw1 * (kw2 * self.q_lo + 1 + -(-_REFLECT_FRAMES // kw1))
-        self.right = kw1 * (kw2 * q_hi - lo)
-        self.first = self.edge // kw1 + lo  # the edge buffer's act1 column under conv2's kw2*q_hi
-        self.shared = self.m >= 2  # else every window runs whole
+        self.edge = KW1 * (KW2 * self.q_lo + 1 + -(-_REFLECT_FRAMES // KW1))
+        self.right = KW1 * (KW2 * q_hi - lo)
+        self.first = self.edge // KW1 + lo  # the edge buffer's act1 column under conv2's KW2*q_hi
         frame_bytes = config.conv_filters[0] * config.input_shape[0] * model.dtype.itemsize
         # conv2 columns a piece adds; with its halo, its conv1 output stays under the budget
-        self.step = max(kw2, (CHUNK_BYTES // frame_bytes - 1 - _REFLECT_FRAMES) // kw1 - lo - 1)
+        self.step = max(KW2, (CHUNK_BYTES // frame_bytes - 1 - _REFLECT_FRAMES) // KW1 - lo - 1)
 
     @staticmethod
     def _forward(x, layers):
@@ -196,37 +179,33 @@ class _Pass:
         x = self.model.normalize(log_mel_spectrogram(AudioBuffer(samples, SAMPLE_RATE)).values)
         return self._forward(x[None, None], self.front)
 
-    def run(self, samples, offsets, window: int) -> list:
-        """Probabilities of a run's windows, which start at ``offsets`` of ``samples``."""
-        if len(offsets) == 1:
-            buffer = AudioBuffer(samples[offsets[0] : offsets[0] + window], SAMPLE_RATE)
-            return [self.model.forward(log_mel_spectrogram(buffer).values)]
-        kw1, kw2, m = self.kw1, self.kw2, self.m
+    def run(self, samples, count: int, window: int) -> list:
+        """Probabilities of the ``count`` windows of ``samples`` that start every SHIFT samples."""
+        m = self.m
         phases: dict[int, _Phase] = {}
-        for k, offset in enumerate(offsets):
-            col = (offset - offsets[0]) // (kw1 * HOP)  # of the run's conv2 columns
-            phase = phases.get(col % kw2)
+        for k in range(count):
+            col = k * SHIFT // (KW1 * HOP)  # of the run's conv2 columns
+            phase = phases.get(col % KW2)
             if phase is None:
-                phase = phases[col % kw2] = _Phase(col + kw2 * self.q_lo)
-            d = (col + kw2 * self.q_lo - phase.start) // kw2
+                phase = phases[col % KW2] = _Phase(col + KW2 * self.q_lo)
+            d = (col + KW2 * self.q_lo - phase.start) // KW2
             phase.pending.append((k, d))
-            phase.stop = phase.start + kw2 * (d + m)
+            phase.stop = phase.start + KW2 * (d + m)
 
-        probs = [None] * len(offsets)
+        probs = [None] * count
         live = list(phases.values())
         while live:
             c0 = min(phase.next for phase in live)
             c1 = min(c0 + self.step, max(phase.stop for phase in live))
-            first = offsets[0] + kw1 * (c0 - self.lo) * HOP
-            piece = samples[first : offsets[0] + _frames_through(c1, kw1) * HOP]
+            piece = samples[KW1 * (c0 - self.lo) * HOP : _frames_through(c1) * HOP]
             cols = self.conv2.forward(self._front(piece))
             cols = cols[..., self.lo : self.lo + c1 - c0]  # run columns c0..c1
             for phase in live:
                 self._extend(phase, cols, c0)
-                done = (phase.next - phase.start) // kw2
+                done = (phase.next - phase.start) // KW2
                 while phase.pending and phase.pending[0][1] + m <= done:
                     k, d = phase.pending.popleft()
-                    probs[k] = self._window(samples[offsets[k] : offsets[k] + window], phase, d)
+                    probs[k] = self._window(samples[k * SHIFT : k * SHIFT + window], phase, d)
                 self._trim(phase, done)
             live = [phase for phase in live if phase.pending]
         return probs
@@ -237,12 +216,12 @@ class _Pass:
         conv3 reruns the last two act2 columns already there, so each of its
         columns reads real neighbours, except grid column 0 and the newest.
         """
-        n = (min(c0 + cols.shape[-1], phase.stop) - phase.next) // self.kw2
+        n = (min(c0 + cols.shape[-1], phase.stop) - phase.next) // KW2
         if n <= 0:
             return
         a = phase.next - c0
-        new = self._forward(cols[..., a : a + self.kw2 * n], self.mid)
-        phase.next += self.kw2 * n
+        new = self._forward(cols[..., a : a + KW2 * n], self.mid)
+        phase.next += KW2 * n
         act = new if phase.act is None else np.concatenate([phase.act, new], axis=-1)
         halo = min(2, act.shape[-1] - n)
         conv = self.conv3.forward(act[..., act.shape[-1] - n - halo :])[..., 1:-1]
@@ -268,7 +247,7 @@ class _Pass:
         across the junction of its two parts, and conv2 runs on just the act1
         columns those read.
         """
-        c, q_lo, m = self.kw2 * self.q_lo, self.q_lo, self.m
+        c, q_lo, m = KW2 * self.q_lo, self.q_lo, self.m
         act, a = phase.act, d - phase.base
         x = self._front(np.concatenate([samples[: self.edge * HOP], samples[self.right * HOP :]]))
         x = self.conv2.forward(np.concatenate([x[..., : c + 1], x[..., self.first - 1 :]], axis=-1))
@@ -279,15 +258,18 @@ class _Pass:
         return softmax(self._forward(np.concatenate(parts, axis=-1), self.back))[0]
 
 
-def _window_probs(model: CrnnModel, samples: np.ndarray, window: int, shift: int) -> list:
-    """Class probabilities of every window of a stream, in window order."""
+def _window_probs(model: CrnnModel, samples: np.ndarray, window: int) -> list:
+    """Class probabilities of every window of a stream, in window order.
+
+    Windows longer than the shift form one run; the others each run alone.
+    """
     layers = _Pass(model)
-    probs = [None] * window_count(len(samples), window, shift)
-    # an overlap threshold of 0 cuts every run to one window
-    for run in _runs(len(probs), window if layers.shared else 0, shift, layers.kw1 * HOP):
-        for i, p in zip(run, layers.run(samples, [i * shift for i in run], window)):
-            probs[i] = p
-    return probs
+    count = window_count(len(samples), window, SHIFT)
+    if window > SHIFT and count > 1:
+        return layers.run(samples, count, window)
+    offsets = range(0, count * SHIFT, SHIFT)
+    buffers = (AudioBuffer(samples[o : o + window], SAMPLE_RATE) for o in offsets)
+    return [model.forward(log_mel_spectrogram(buffer).values) for buffer in buffers]
 
 
 @dataclass
@@ -329,14 +311,13 @@ class SpeakerReport:
 class CallAnalysis:
     speakers: list
     window_seconds: float
-    shift_seconds: float
     n_classes: int
 
     def to_dict(self) -> dict:
         names = label_names(self.n_classes)
         out = {
             "window_seconds": self.window_seconds,
-            "shift_seconds": self.shift_seconds,
+            "shift_seconds": SHIFT / SAMPLE_RATE,
             "classes": list(names),
             "speakers": [],
         }
@@ -373,33 +354,23 @@ class CallAnalysis:
         return "\n".join(lines) + "\n"
 
 
-def analyze_call(
-    audio: AudioBuffer,
-    segments,
-    model: CrnnModel,
-    shift_seconds: float = 1.0,
-) -> CallAnalysis:
+def analyze_call(audio: AudioBuffer, segments, model: CrnnModel) -> CallAnalysis:
     """Classify every speaker in a call: aggregated verdicts and every window's probabilities.
 
     Streams shorter than one window get a no-windows report entry instead
-    of a padded classification. A shift under one sample raises ConfigError.
+    of a padded classification.
     """
-    shift = shift_seconds * SAMPLE_RATE
-    if not math.isfinite(shift) or round(shift) < 1:
-        raise ConfigError(f"window shift must be at least one sample, got {shift_seconds} s")
-    shift = int(round(shift))
     streams = build_speaker_streams(audio, segments)
     frames = model.config.input_shape[1]
     window = frames * HOP  # one frame per hop
 
     reports = []
     for stream in streams:
-        probs = _window_probs(model, stream.samples, window, shift)
+        probs = _window_probs(model, stream.samples, window)
         verdict = aggregate_speaker(probs) if probs else None
         reports.append(SpeakerReport(stream.slot, stream.gender, stream.duration, verdict, probs))
     return CallAnalysis(
         speakers=reports,
         window_seconds=window / SAMPLE_RATE,
-        shift_seconds=shift_seconds,
         n_classes=model.config.n_classes,
     )

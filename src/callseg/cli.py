@@ -214,13 +214,13 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     _echo("analyze", {"wav": args.wav, "segments": args.segments, "model": args.model,
-                      "out": args.out, "windows_csv": args.windows_csv, "shift": args.shift})
+                      "out": args.out, "windows_csv": args.windows_csv})
     _check_output_paths(args.out, args.windows_csv,
                         inputs=[args.model, args.wav, args.segments])
     model = load_checkpoint(args.model)
     audio = load_audio(args.wav)
     segments = read_segments_csv(args.segments)
-    analysis = analyze_call(audio, segments, model, shift_seconds=args.shift)
+    analysis = analyze_call(audio, segments, model)
     report = analysis.to_json()
     if args.out:
         with atomic_write(args.out) as fh:
@@ -281,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--windows-csv", help="per-window probability CSV path")
-    p.add_argument("--shift", type=float, default=1.0, help="window shift in seconds")
     p.set_defaults(func=_cmd_analyze)
     return parser
 

@@ -13,6 +13,8 @@ original signal, so an 80000-sample buffer yields exactly 1000 frames.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,10 @@ LOG_FLOOR = 1e-10
 
 HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)
 HANN.flags.writeable = False
+# NPY header readers by format version; 3.0 differs from 2.0 only in UTF-8 field names
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0,
+                (3, 0): np.lib.format.read_array_header_2_0}
 
 
 def hz_to_mel(f):
@@ -113,15 +119,25 @@ def load_features(path: str) -> np.ndarray:
     """Read a feature NPY file back as a 2-D float32 array.
 
     Only a plain NPY file of real numbers is read: an ``.npz`` archive,
-    pickled objects or a complex array raises FormatError.
+    pickled objects, a complex array or a header that claims more data than
+    the file holds raises FormatError, before any data is read.
     """
     try:
         with open(path, "rb") as fh:
-            arr = np.lib.format.read_array(fh, allow_pickle=False)
+            read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+            if read_header is None:
+                raise ValueError("unsupported NPY format version")
+            shape, fortran_order, dtype = read_header(fh)
+            if dtype.kind not in "fiu":
+                raise FormatError(f"{path}: feature values must be real numbers, got dtype {dtype}")
+            count, left = math.prod(shape), os.fstat(fh.fileno()).st_size - fh.tell()
+            if min(shape, default=0) < 0 or count * dtype.itemsize > left:
+                raise FormatError(f"{path}: header claims a {shape} {dtype} array, "
+                                  f"but {left} bytes of data follow it")
+            arr = np.fromfile(fh, dtype=dtype, count=count)
     except (OSError, ValueError) as exc:
         raise FormatError(f"unreadable feature file {path}: {exc}") from exc
-    if arr.dtype.kind not in "fiu":
-        raise FormatError(f"{path}: feature values must be real numbers, got dtype {arr.dtype}")
+    arr = arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
     if arr.ndim != 2:
         raise ShapeError(f"{path}: expected a 2-D feature array, got shape {arr.shape}")
     return np.ascontiguousarray(arr, dtype=np.float32)

@@ -2,6 +2,8 @@
 
 Four conv blocks (3x3 same conv -> activation -> ceil-mode max pool ->
 dropout) collapse the 96-band spectrogram's frequency axis to 1; the
+blocks' pool kernels are POOL_KERNELS, fixed as in the music-tagging CRNN
+the model comes from, and only the filter counts are settable. The
 surviving (channels, time) map is read as a sequence, passed through two
 recurrent layers (full sequence, then final state only), and a dense
 head gives the logits of a softmax; the model runs all of it as one layer list.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 import zlib
 from dataclasses import dataclass
@@ -46,21 +49,26 @@ from .layers import (
 from .recurrent import GRULayer, LSTMLayer
 
 _CKPT_MAGIC = b"CSEGCKP1"
+# (freq, time) max-pool kernel of each conv block
+POOL_KERNELS = ((2, 2), (3, 3), (4, 2), (4, 2))
+# header config keys of settings that became constants, each with the one value it may still hold
+_RETIRED_KEYS = {"conv_activation": "elu", "pool_kernels": [list(k) for k in POOL_KERNELS]}
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _int_pair(pair):
-    first, second = pair
-    return int(first), int(second)
+def _int(value) -> int:
+    """An integer as an int; TypeError for anything else, a bool or a whole float included."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 @dataclass
 class ModelConfig(JsonConfig):
     conv_filters: tuple = (64, 64, 64, 32)
-    pool_kernels: tuple = ((2, 2), (3, 3), (4, 2), (4, 2))
     dropout_p: float = 0.1
     rnn_kind: str = "gru"
     rnn_hidden: tuple = (84, 84)
@@ -68,11 +76,10 @@ class ModelConfig(JsonConfig):
     input_shape: tuple = (96, 1000)
 
     def __post_init__(self):
-        for name, convert in (("conv_filters", int), ("pool_kernels", _int_pair),
-                              ("rnn_hidden", int), ("input_shape", int)):
+        for name in ("conv_filters", "rnn_hidden", "input_shape"):
             value = getattr(self, name)
             try:
-                setattr(self, name, tuple(convert(v) for v in value))
+                setattr(self, name, tuple(_int(v) for v in value))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad {name} {value!r}: {exc}") from exc
         self._check_field_types()
@@ -81,8 +88,6 @@ class ModelConfig(JsonConfig):
     def validate(self):
         if len(self.conv_filters) != 4 or any(f < 1 for f in self.conv_filters):
             raise ConfigError(f"need four positive conv filter counts, got {self.conv_filters}")
-        if len(self.pool_kernels) != 4 or any(min(k) < 1 for k in self.pool_kernels):
-            raise ConfigError(f"need four pool kernels, got {self.pool_kernels}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.rnn_kind not in ("gru", "lstm"):
@@ -96,14 +101,14 @@ class ModelConfig(JsonConfig):
         _, freq, _ = self.conv_output_shape()
         if freq != 1:
             raise ConfigError(
-                f"pool kernels {self.pool_kernels} leave frequency axis at {freq}, "
+                f"pool kernels {POOL_KERNELS} leave frequency axis at {freq}, "
                 f"must collapse {self.input_shape[0]} bands to 1"
             )
 
     def conv_output_shape(self):
         """(channels, freq, time) after the four conv/pool blocks."""
         freq, time = self.input_shape
-        for kh, kw in self.pool_kernels:
+        for kh, kw in POOL_KERNELS:
             freq = _ceil_div(freq, kh)
             time = _ceil_div(time, kw)
         return self.conv_filters[-1], freq, time
@@ -123,7 +128,7 @@ class CrnnModel:
         self.blocks = []
         self.layers = []
         workspace = Workspace()  # the convs run one at a time, so they share one column buffer
-        for i, (filters, kernel) in enumerate(zip(config.conv_filters, config.pool_kernels)):
+        for i, (filters, kernel) in enumerate(zip(config.conv_filters, POOL_KERNELS)):
             # nothing reads the gradient with respect to the spectrogram
             conv = Conv2d(channels_in, filters, rng, dtype=self.dtype, input_grad=i > 0,
                           workspace=workspace)
@@ -212,7 +217,7 @@ class CrnnModel:
         """
         item = self.dtype.itemsize
         (freq, time), channels, total = self.config.input_shape, 1, 0
-        for filters, (kh, kw) in zip(self.config.conv_filters, self.config.pool_kernels):
+        for filters, (kh, kw) in zip(self.config.conv_filters, POOL_KERNELS):
             total += channels * freq * time * item
             freq, time, channels = _ceil_div(freq, kh), _ceil_div(time, kw), filters
             total += channels * freq * time * (item + 2)
@@ -337,8 +342,12 @@ def load_checkpoint(path: str, dtype=np.float32) -> CrnnModel:
         raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
 
     config = header.get("config")
-    if isinstance(config, dict) and config.get("conv_activation") == "elu":  # saved before ELU was fixed
-        config = {k: v for k, v in config.items() if k != "conv_activation"}
+    if isinstance(config, dict):
+        for key in _RETIRED_KEYS.keys() & config.keys():
+            if config[key] != _RETIRED_KEYS[key]:
+                raise CheckpointError(f"{path}: {key} {config[key]!r} is not supported; "
+                                      f"only {_RETIRED_KEYS[key]!r} is")
+        config = {k: v for k, v in config.items() if k not in _RETIRED_KEYS}
     try:
         model = build_crnn(ModelConfig.from_dict(config), seed=0, dtype=dtype)
     except (ConfigError, ShapeError) as exc:

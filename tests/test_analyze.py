@@ -189,7 +189,7 @@ class TestAnalyzeCall:
         rng = np.random.default_rng(3)
         audio = AudioBuffer(0.1 * rng.standard_normal(5 * RATE), RATE)
         segments = [seg(0, 4.25, "speech_female"), seg(4.25, 4.5, "speech_male")]
-        analysis = analyze_call(audio, segments, fast_model, shift_seconds=1.0)
+        analysis = analyze_call(audio, segments, fast_model)
         female = [r for r in analysis.speakers if r.gender == "female"][0]
         # stream 4.25 s, window 0.25 s, shift 1 s -> offsets 0..4 s
         assert female.verdict.window_count == 5
@@ -231,28 +231,27 @@ class TestAnalyzeCall:
 
 
 # ---------------------------------------------------------------------------
-# golden: analyze_call's shared tile path against classifying each window alone
+# golden: analyze_call's shared run path against classifying each window alone
 
 def window_of(model):
     return model.config.input_shape[1] * HOP
 
 
-def oracle_window_probs(model, samples, rate, shift):
-    """Slice each window out of the stream, then log-mel and model.forward it."""
+def oracle_window_probs(model, samples):
+    """Slice each 1 s-shifted window out of the stream, then log-mel and model.forward it."""
     window = window_of(model)
     return [
-        model.forward(log_mel_spectrogram(AudioBuffer(samples[off : off + window], rate)).values)
-        for off in range(0, len(samples) - window + 1, shift)
+        model.forward(log_mel_spectrogram(AudioBuffer(samples[off : off + window], RATE)).values)
+        for off in range(0, len(samples) - window + 1, RATE)
     ]
 
 
-def assert_matches_oracle(model, samples, shift_seconds):
+def assert_matches_oracle(model, samples):
     """analyze_call's window probabilities equal the oracle's bit for bit; returns the count."""
     audio = AudioBuffer(samples, RATE)
-    analysis = analyze_call(audio, [seg(0, audio.duration, "speech_female")], model,
-                            shift_seconds)
+    analysis = analyze_call(audio, [seg(0, audio.duration, "speech_female")], model)
     got = analysis.speakers[0].window_probs
-    want = oracle_window_probs(model, samples, RATE, round(shift_seconds * RATE))
+    want = oracle_window_probs(model, samples)
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert np.array_equal(g, w), f"window {i}: {g} != {w}"
@@ -264,12 +263,11 @@ def noise(n_samples, seed=7):
 
 
 GOLDEN_CONFIGS = {
-    # 2.5 s windows, so 1, 0.5 and 0.33 s shifts all overlap
+    # 2.5 s windows: each overlaps the next by 1.5 s
     "gru": dict(conv_filters=(3, 2, 2, 2), rnn_hidden=(3, 3), input_shape=(96, 250)),
-    # pool1 (3, 3): window offsets pair up with a tile's only 240 samples apart
-    "lstm-pool1-3x3": dict(conv_filters=(3, 2, 2, 2), rnn_hidden=(3, 3), rnn_kind="lstm",
-                           input_shape=(96, 201),
-                           pool_kernels=((3, 3), (2, 2), (4, 2), (4, 2))),
+    # 201 frames: pool1, pool2 and pool4 each end on a partial ceil-mode window
+    "lstm": dict(conv_filters=(3, 2, 2, 2), rnn_hidden=(3, 3), rnn_kind="lstm",
+                 input_shape=(96, 201)),
     # windows of 22 frames or fewer have no edge buffers, so each runs whole
     "short-window": dict(conv_filters=(3, 2, 2, 2), rnn_hidden=(3, 3), input_shape=(96, 12)),
 }
@@ -323,18 +321,15 @@ def spy_calls(monkeypatch, model):
 
 
 class TestSharedFrontGolden:
-    # 81 samples: offsets pair up with pool1 in 160 (or 240) interleaved groups
-    @pytest.mark.parametrize("shift", [1.0, 0.5, 0.33, 0.1, 81 / RATE])
-    def test_matches_per_window_classification(self, golden_model, shift):
-        extra = 1.2 if shift < 0.05 else 5.7  # keep the 81-sample case near 120 windows
-        n_samples = window_of(golden_model) + int(extra * RATE)
-        assert assert_matches_oracle(golden_model, noise(n_samples), shift) > 1
+    def test_matches_per_window_classification(self, golden_model):
+        n_samples = window_of(golden_model) + int(5.7 * RATE)
+        assert assert_matches_oracle(golden_model, noise(n_samples)) > 1
 
     def test_shorter_than_one_window(self, golden_model):
-        assert assert_matches_oracle(golden_model, noise(window_of(golden_model) - 1), 1.0) == 0
+        assert assert_matches_oracle(golden_model, noise(window_of(golden_model) - 1)) == 0
 
     def test_exactly_one_window(self, golden_model):
-        assert assert_matches_oracle(golden_model, noise(window_of(golden_model)), 0.33) == 1
+        assert assert_matches_oracle(golden_model, noise(window_of(golden_model))) == 1
 
     def test_lone_windows_run_through_model_forward(self, monkeypatch, fast_model):
         # 0.25 s windows 1 s apart share no columns, so each runs alone
@@ -347,51 +342,68 @@ class TestSharedFrontGolden:
 
         monkeypatch.setattr(callseg.CrnnModel, "forward", forward_spy)
         audio = AudioBuffer(noise(5 * RATE), RATE)
-        analysis = analyze_call(audio, [seg(0, 5, "speech_female")], fast_model, 1.0)
+        analysis = analyze_call(audio, [seg(0, 5, "speech_female")], fast_model)
         got = analysis.speakers[0].window_probs
         assert len(got) == 5
         assert len(outputs) == len(got)
         assert all(g is out for g, out in zip(got, outputs))
 
-    @pytest.mark.parametrize("shift", [0.5, 0.33])
-    def test_last_window_ends_at_stream_end(self, golden_model, shift):
-        n_samples = window_of(golden_model) + 7 * round(shift * RATE)
-        assert assert_matches_oracle(golden_model, noise(n_samples), shift) == 8
+    def test_last_window_ends_at_stream_end(self, golden_model):
+        n_samples = window_of(golden_model) + 7 * RATE
+        assert assert_matches_oracle(golden_model, noise(n_samples)) == 8
 
-    # runs of overlapping windows exist only where a multiple of the shift below
-    # the window is one of kw1 * HOP samples (for lstm-pool1-3x3, 80 shifts of 81
-    # samples make 27 of 240); elsewhere every window runs whole
-    @pytest.mark.parametrize("name, shift, runs", [
-        ("fast", 1.0, False), ("fast", 0.33, False), ("fast", 81 / RATE, False),
-        ("gru", 1.0, True), ("gru", 0.33, True), ("gru", 81 / RATE, False),
-        ("lstm-pool1-3x3", 1.0, False), ("lstm-pool1-3x3", 0.33, True),
-        ("lstm-pool1-3x3", 81 / RATE, True),
+    # windows of 100 frames or fewer are no longer than the 1 s shift and each
+    # run whole; a stream's longer windows overlap and run as one run
+    @pytest.mark.parametrize("frames, runs", [(100, False), (101, True)])
+    def test_only_windows_longer_than_the_shift_share_a_run(self, monkeypatch, frames, runs):
+        config = callseg.ModelConfig(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3),
+                                     input_shape=(96, frames))
+        model = callseg.build_crnn(config, seed=0)
+        calls = spy_calls(monkeypatch, model)
+        forwards = []
+        real_forward = callseg.CrnnModel.forward
+
+        def forward_spy(self, *args, **kwargs):
+            forwards.append(1)
+            return real_forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(callseg.CrnnModel, "forward", forward_spy)
+        samples = noise(frames * HOP + 4 * RATE)
+        audio = AudioBuffer(samples, RATE)
+        analysis = analyze_call(audio, [seg(0, audio.duration, "speech_male")], model)
+        assert (len(calls["windows"]), len(forwards)) == ((5, 0) if runs else (0, 5))
+        monkeypatch.undo()
+        got, want = analysis.speakers[0].window_probs, oracle_window_probs(model, samples)
+        assert len(got) == len(want) == 5
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("name, runs", [
+        ("fast", False), ("gru", True), ("lstm", True), ("short-window", False),
     ])
     def test_matches_per_window_classification_across_pieces(self, monkeypatch, fast_model,
-                                                              name, shift, runs):
+                                                              name, runs):
         model = golden(name, fast_model)
         frames = model.config.input_shape[1]
         # pieces of at most 100 frames: every run of these 2.5 s and 2 s windows spans 3 or more
         monkeypatch.setattr(analyze, "CHUNK_BYTES", 100 * model.config.conv_filters[0] * 96 * 4)
         calls = spy_calls(monkeypatch, model)
-        extra = 1.2 if shift < 0.05 else 5.7
-        n_samples = window_of(model) + int(extra * RATE)
-        assert assert_matches_oracle(model, noise(n_samples), shift) > 1
+        n_samples = window_of(model) + int(5.7 * RATE)
+        assert assert_matches_oracle(model, noise(n_samples)) > 1
         # edge buffers come from inside a window's edge pass; whole windows have all their frames
         pieces = [n for window, n in calls["logmel"] if window is None and n < frames]
         assert len(pieces) >= 3 if runs else not pieces
         assert all(n <= 100 for n in pieces)
 
-    # edge buffers: the first 10 frames and the last 16 of a 250-frame window,
-    # the first 12 and the last 15 of a 201-frame one
-    @pytest.mark.parametrize("name, shift, edge_frames", [
-        ("gru", 1.0, 26), ("gru", 0.33, 26), ("lstm-pool1-3x3", 0.33, 27),
-    ])
+    # edge buffers: the first 10 frames and the last 16 of a 250-frame window;
+    # for 201 frames, conv2 columns 3..97 are interior and act2 columns 1..31
+    # the phase's, so its right part starts at frame 2 * (3 * 32 - 3) = 186
+    # and it is the first 10 frames and the last 15
+    @pytest.mark.parametrize("name, edge_frames", [("gru", 26), ("lstm", 25)])
     def test_one_edge_buffer_and_one_edge_conv3_per_window(self, monkeypatch, fast_model, name,
-                                                            shift, edge_frames):
+                                                            edge_frames):
         model = golden(name, fast_model)
         calls = spy_calls(monkeypatch, model)
-        n_windows = assert_matches_oracle(model, noise(window_of(model) + int(5.7 * RATE)), shift)
+        n_windows = assert_matches_oracle(model, noise(window_of(model) + int(5.7 * RATE)))
         edges = {kind: [(w, n) for w, n in calls[kind] if w is not None]
                  for kind in ("logmel", "conv3")}
         assert len(calls["windows"]) > n_windows // 2
@@ -407,7 +419,7 @@ class TestSharedFrontGolden:
             "import callseg\n"
             "from tests.test_analyze import assert_matches_oracle, noise\n"
             "model = callseg.build_crnn(callseg.ModelConfig(), seed=0)\n"
-            "print(assert_matches_oracle(model, noise(13 * 8000 + 123), 1.0))\n"
+            "print(assert_matches_oracle(model, noise(13 * 8000 + 123)))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
                               capture_output=True, text=True, timeout=600)
@@ -419,7 +431,7 @@ def test_peak_memory_does_not_grow_with_stream_length(monkeypatch):
     config = callseg.ModelConfig(conv_filters=(2, 2, 2, 2), rnn_hidden=(3, 3),
                                  input_shape=(96, 400))
     model = callseg.build_crnn(config, seed=0)
-    # pieces of 10 s of this model's conv1 output, where its 4 s windows start 2 s apart
+    # pieces of 10 s of this model's conv1 output, where its 4 s windows start 1 s apart
     monkeypatch.setattr(analyze, "CHUNK_BYTES", 2 * 96 * 4 * 1000)
 
     def peak(seconds):
@@ -427,7 +439,7 @@ def test_peak_memory_does_not_grow_with_stream_length(monkeypatch):
         segments = [seg(0, seconds, "speech_male")]
         tracemalloc.start()
         try:
-            analyze_call(audio, segments, model, shift_seconds=2.0)
+            analyze_call(audio, segments, model)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -444,7 +456,7 @@ def test_each_stream_column_is_computed_about_once(monkeypatch):
                                seed=0)
     calls = spy_calls(monkeypatch, model)
     analysis = analyze_call(AudioBuffer(noise(60 * RATE), RATE), [seg(0, 60, "speech_male")],
-                            model, shift_seconds=1.0)
+                            model)
     windows = analysis.speakers[0].verdict.window_count
     assert windows == 51
     frames = [n for _w, n in calls["logmel"]]
@@ -483,11 +495,10 @@ def property_model():
     seconds=st.floats(min_value=0.0, max_value=3.0),
     seed=st.integers(0, 2**32 - 1),
     segments=st.lists(SEGMENT, max_size=5),
-    shift=st.floats(),
 )
-def test_analyze_call_raises_only_callseg_errors(property_model, seconds, seed, segments, shift):
+def test_analyze_call_raises_only_callseg_errors(property_model, seconds, seed, segments):
     samples = np.random.default_rng(seed).uniform(-1.0, 1.0, int(seconds * RATE))
     try:
-        analyze_call(AudioBuffer(samples, RATE), segments, property_model, shift)
+        analyze_call(AudioBuffer(samples, RATE), segments, property_model)
     except CallsegError:
         pass

@@ -287,6 +287,10 @@ class TestTrainCommand:
         ('{"model": {"conv_filters": ["a", "b", "c", "d"]}}', "conv_filters"),
         ('{"model": {"conv_filters": [2, 2, 2]}}', "four positive conv filter counts"),
         ('{"model": {"rnn_hidden": [4, "x"]}}', "rnn_hidden"),
+        ('{"model": {"conv_filters": "2222"}}', "conv_filters"),
+        ('{"model": {"rnn_hidden": [3.9, 3.2]}}', "rnn_hidden"),
+        ('{"model": {"conv_filters": [true, true, true, true]}}', "conv_filters"),
+        ('{"model": {"pool_kernels": [[2, 2], [3, 3], [4, 2], [4, 2]]}}', "pool_kernels"),
         ('{"train": {"learning_rate": -1}}', "learning_rate"),
         ('{"train": {"learning_rate": 0}}', "learning_rate"),
         ('{"train": {"learning_rate": NaN}}', "learning_rate"),
@@ -313,6 +317,7 @@ class TestTrainCommand:
         ("npz", "unreadable feature file"),
         ("bytes", "unreadable feature file"),
         ("complex", "complex64"),
+        ("huge", "(1000000, 1000000) float32"),
     ])
     def test_bad_feature_file_exits_2(self, capsys, tmp_path, cli_corpus, content, needle):
         corpus = tmp_path / "corpus"
@@ -323,6 +328,11 @@ class TestTrainCommand:
                 np.savez(fh, values=np.zeros((96, 50), np.float32))
         elif content == "bytes":
             Path(path).write_bytes(b"not an NPY file\n" * 8)
+        elif content == "huge":  # 3.64 TiB claimed over 64 bytes of data
+            with open(path, "wb") as fh:
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": "<f4", "fortran_order": False, "shape": (10**6, 10**6)})
+                fh.write(bytes(64))
         else:
             np.save(path, np.zeros((96, 50), np.complex64))
         code, _, err = run_cli(capsys, "train", "--corpus", str(corpus),
@@ -421,6 +431,7 @@ class TestAnalyzeCommand:
         assert code == 0
         report = json.loads(Path(out).read_text())
         assert len(report["speakers"]) == 2
+        assert report["shift_seconds"] == 1.0
         for entry in report["speakers"]:
             assert entry["window_count"] >= 1
             assert abs(sum(entry["mean_probabilities"]) - 1.0) < 1e-6
@@ -432,7 +443,9 @@ class TestAnalyzeCommand:
         code, stdout, _ = run_cli(capsys, "analyze", "--wav", wav, "--segments", segments,
                                   "--model", cli_corpus["ckpt"], "--windows-csv", windows)
         assert code == 0
-        assert json.loads(stdout.splitlines()[0])["effective_config"]["windows_csv"] == windows
+        echo = json.loads(stdout.splitlines()[0])["effective_config"]
+        assert echo["windows_csv"] == windows
+        assert sorted(echo) == ["model", "out", "segments", "wav", "windows_csv"]  # no shift
 
     def test_single_gender_call(self, capsys, tmp_path, cli_corpus):
         rng = np.random.default_rng(1)
@@ -503,14 +516,14 @@ class TestAnalyzeCommand:
         assert "96-band" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("shift", ["0", "0.00001", "nan", "-1"])
-    def test_bad_shift_exits_2(self, capsys, tmp_path, cli_corpus, shift):
+    def test_shift_option_exits_2(self, capsys, tmp_path, cli_corpus):
         wav, segments = self.make_call_files(tmp_path)
         out = tmp_path / "report.json"
-        code, _, err = run_cli(capsys, "analyze", "--wav", wav, "--segments", segments,
-                               "--model", cli_corpus["ckpt"], "--out", str(out), "--shift", shift)
-        assert code == 2
-        assert "window shift must be at least one sample" in err
+        with pytest.raises(SystemExit) as exc:  # the shift is fixed at 1 s
+            main(["analyze", "--wav", wav, "--segments", segments, "--model", cli_corpus["ckpt"],
+                  "--out", str(out), "--shift", "1"])
+        assert exc.value.code == 2
+        assert "--shift" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_segments_file_exits_2(self, capsys, tmp_path, cli_corpus):
@@ -958,8 +971,8 @@ def test_settable_value_count():
         for sub in commands.choices.values()
     )
     config_fields = sum(len(fields(cls)) for cls in (ModelConfig, TrainConfig, SynthSpec))
-    assert (options, config_fields) == (28, 16)
-    assert options + config_fields == 44
+    assert (options, config_fields) == (27, 15)
+    assert options + config_fields == 42
 
 
 def test_readme_commands_parse():

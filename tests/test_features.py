@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from callseg.audio import AudioBuffer
-from callseg.errors import TooShortError
+from callseg.errors import FormatError, TooShortError
 from callseg.features import (
     LOG_FLOOR,
     MEL_FILTERBANK,
@@ -182,3 +182,29 @@ class TestFeatureFiles:
         path = tmp_path / "utt.npy"
         save_features(str(path), values)
         npt.assert_array_equal(load_features(str(path)), values)
+
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_other_npy_layouts_load(self, tmp_path, version, fortran):
+        values = np.arange(12, dtype="<f8").reshape(3, 4)
+        path = tmp_path / "utt.npy"
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, np.asfortranarray(values) if fortran else values,
+                                      version=version)
+        got = load_features(str(path))
+        npt.assert_array_equal(got, values)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape, needle", [
+        ((10**6, 10**6), "64 bytes of data follow"),  # 3.64 TiB claimed
+        ((5, 4), "64 bytes of data follow"),  # 80 bytes claimed
+        ((-4, 4), "-4"),
+    ])
+    def test_header_claiming_more_than_the_file_holds_refused(self, tmp_path, shape, needle):
+        path = tmp_path / "utt.npy"
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f4", "fortran_order": False, "shape": shape})
+            fh.write(bytes(64))
+        with pytest.raises(FormatError, match=needle):
+            load_features(str(path))

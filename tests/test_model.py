@@ -42,8 +42,23 @@ class TestShapes:
             model.forward(np.zeros((13, 20), dtype=np.float32))
 
     def test_non_collapsing_pools_rejected(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(pool_kernels=((2, 2), (2, 3), (2, 2), (2, 2)))
+        # the fixed pools collapse at most 96 bands: 97 -> 49 -> 17 -> 5 -> 2
+        with pytest.raises(ConfigError, match="leave frequency axis at 2"):
+            ModelConfig(input_shape=(97, 20))
+
+    @pytest.mark.parametrize("field, value", [
+        ("conv_filters", "2222"), ("conv_filters", [2, 2, 2.0, 2]), ("rnn_hidden", [3.9, 3.2]),
+        ("conv_filters", [True, True, True, True]), ("input_shape", [96, True]),
+    ])
+    def test_non_integer_entries_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig.from_dict({**TINY, field: value})
+
+    def test_numpy_integer_entries_accepted(self):
+        config = ModelConfig(conv_filters=np.array([2, 2, 2, 2]), rnn_hidden=(np.int64(3), 3),
+                             input_shape=(12, 20))
+        assert config.conv_filters == (2, 2, 2, 2) and config.rnn_hidden == (3, 3)
+        assert all(type(v) is int for v in config.conv_filters + config.rnn_hidden)
 
 
 class TestDeterminism:
@@ -215,6 +230,18 @@ class TestCheckpoint:
         x = np.random.default_rng(9).standard_normal((3, 12, 20)).astype(np.float32)
         npt.assert_array_equal(back.forward(x), model.forward(x))
 
+    def test_header_storing_the_old_default_pool_kernels_loads(self, tmp_path):
+        """A header config may hold the pool kernels, as when they were a setting."""
+        model = tiny_model(seed=6, rnn_kind="lstm")
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, path)
+        rewrite_checkpoint_header(path, with_config(pool_kernels=[[2, 2], [3, 3], [4, 2], [4, 2]]))
+        back = load_checkpoint(path)
+        assert back.config == model.config
+        for (n1, p1), (n2, p2) in zip(model.named_params(), back.named_params()):
+            assert n1 == n2
+            npt.assert_array_equal(p1, p2)
+
     def test_truncated_file_rejected(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "m.ckpt"
@@ -290,6 +317,7 @@ HEADER_DAMAGE = {
     "unknown_config_key": with_config(shuffle=True),
     "bad_config_type": with_config(n_classes="two"),
     "bad_pool_kernel": with_config(pool_kernels=[[0, 2], [3, 3], [4, 2], [4, 2]]),
+    "other_pool_kernels": with_config(pool_kernels=[[3, 3], [2, 2], [4, 2], [4, 2]]),
     "bad_activation": with_config(conv_activation="tanh"),
     "no_params": without("params"),
     "params_shape": lambda h: {**h, "params": [[h["params"][0][0], [1]], *h["params"][1:]]},
@@ -313,6 +341,19 @@ def test_damaged_header_raises_checkpoint_error(tmp_path, damage):
     save_checkpoint(model, path)
     rewrite_checkpoint_header(path, HEADER_DAMAGE[damage])
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+# each would convert with int() to the entries the saved model has
+@pytest.mark.parametrize("field, value", [
+    ("conv_filters", "1111"), ("conv_filters", [True, True, True, True]),
+    ("conv_filters", [1.0, 1, 1, 1]), ("rnn_hidden", [3.9, 3.2]),
+])
+def test_header_with_non_integer_entries_raises_checkpoint_error(tmp_path, field, value):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(tiny_model(conv_filters=(1, 1, 1, 1)), path)
+    rewrite_checkpoint_header(path, with_config(**{field: value}))
+    with pytest.raises(CheckpointError, match=field):
         load_checkpoint(path)
 
 

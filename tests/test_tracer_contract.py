@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from callseg.model import ModelConfig, build_crnn
+from callseg.model import POOL_KERNELS, ModelConfig, build_crnn
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -40,7 +40,7 @@ def test_every_layer_span_fires_once_and_act_sees_the_pooled_map():
     assert calls == dict.fromkeys(expected, 1)
 
     h, w = config.input_shape
-    for i, (filters, (kh, kw)) in enumerate(zip(config.conv_filters, config.pool_kernels), 1):
+    for i, (filters, (kh, kw)) in enumerate(zip(config.conv_filters, POOL_KERNELS), 1):
         h, w = -(-h // kh), -(-w // kw)
         # forward input plus backward gradient, each the size of the pooled map
         assert tracer.counts[f"layers.act{i}.elems"] == 2 * filters * h * w
